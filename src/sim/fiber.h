@@ -5,22 +5,61 @@
 // concurrently: the scheduler resumes exactly one at a time, always the
 // runnable fiber with the smallest virtual clock, so simulated executions are
 // deterministic and data structures need no host-level locking.
+//
+// On x86-64 a switch is a few instructions of assembly that save what the
+// System V ABI makes a callee preserve: rbx, rbp, r12-r15, the stack pointer,
+// MXCSR and the x87 control word. It makes no system call. The signal mask is
+// not switched: nothing in the simulator changes it. Other architectures
+// switch with ucontext. Each fiber stack is mapped with a PROT_NONE guard
+// page below it, so an overflow faults instead of corrupting the heap.
 #ifndef SRC_SIM_FIBER_H_
 #define SRC_SIM_FIBER_H_
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/base/thread_annotations.h"
 #include "src/sim/time.h"
 
 namespace platinum::sim {
 
 class Scheduler;
+
+// Usable stack of every fiber, above its guard page.
+inline constexpr size_t kFiberStackBytes = 256 * 1024;
+
+// Where a switch leaves and later resumes execution: a fiber, or the host
+// thread that runs the scheduler's dispatch loop.
+struct FiberContext {
+#if defined(__x86_64__)
+  // The suspended stack; the saved registers sit on it.
+  void* sp = nullptr;
+#else
+  ucontext_t uc;
+#endif
+  // What a fiber runs first; null for the host thread.
+  void (*entry)() = nullptr;
+  // For AddressSanitizer: the stack this context runs on (the host thread's
+  // is learned at its first switch away), ASan's fake stack while switched
+  // out, and who switched to it last.
+  const void* stack_bottom = nullptr;
+  size_t stack_size = 0;
+  void* fake_stack = nullptr;
+  FiberContext* resumer = nullptr;
+};
+
+// Saves the calling context in `from` and resumes `to`, starting it at its
+// entry if it never ran. Returns when a later switch resumes `from`.
+// `from_exits` marks the final switch away from a finished fiber.
+void SwitchContext(FiberContext& from, FiberContext& to, bool from_exits = false)
+    PLATINUM_MAY_YIELD;
 
 class Fiber {
  public:
@@ -31,8 +70,9 @@ class Fiber {
     kDone,     // body returned
   };
 
-  Fiber(uint32_t id, int processor, std::string name, std::function<void()> body,
-        uint32_t stack_bytes, bool daemon);
+  // The first switch to the fiber calls `entry` on its own stack.
+  Fiber(uint32_t id, int processor, std::string name, std::function<void()> body, bool daemon,
+        void (*entry)());
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -63,8 +103,9 @@ class Fiber {
   // Fibers waiting in Join() on this fiber.
   std::vector<Fiber*> joiners_;
 
-  std::unique_ptr<char[]> stack_;
-  ucontext_t context_;
+  // The mapping: one guard page, then kFiberStackBytes of stack.
+  char* mapping_ = nullptr;
+  FiberContext context_;
 };
 
 }  // namespace platinum::sim

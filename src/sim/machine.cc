@@ -12,7 +12,7 @@ Machine::Machine(const MachineParams& params)
         return params;
       }()),
       obs_(params_.num_processors),
-      scheduler_(params_.num_processors, params_.quantum_ns, params_.fiber_stack_bytes),
+      scheduler_(params_.num_processors, params_.quantum_ns),
       interconnect_(params_, &modules_, &stats_, &obs_) {
   modules_.reserve(params_.num_processors);
   for (int node = 0; node < params_.num_processors; ++node) {

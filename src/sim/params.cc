@@ -15,7 +15,6 @@ void MachineParams::Validate() const {
   PLAT_CHECK((atc_entries & (atc_entries - 1)) == 0) << "ATC must be a power-of-2 direct map";
   PLAT_CHECK_LE(block_bus_steal_permille, 1000u);
   PLAT_CHECK_GT(quantum_ns, SimTime{0});
-  PLAT_CHECK_GE(fiber_stack_bytes, 64u * 1024);
   PLAT_CHECK_GE(defrost_processor, 0);
   PLAT_CHECK_LT(defrost_processor, num_processors);
 }

@@ -105,8 +105,6 @@ struct MachineParams {
   // A fiber voluntarily yields once it has run this much virtual time; bounds
   // the clock skew between concurrently simulated processors.
   SimTime quantum_ns = 20 * kMicrosecond;
-  // Stack size for each simulated thread of control.
-  uint32_t fiber_stack_bytes = 256 * 1024;
 
   // Total physical frames across the machine.
   uint64_t total_frames() const {

@@ -9,9 +9,8 @@ namespace platinum::sim {
 
 thread_local Scheduler* Scheduler::active_ = nullptr;
 
-Scheduler::Scheduler(int num_processors, SimTime quantum, uint32_t fiber_stack_bytes)
+Scheduler::Scheduler(int num_processors, SimTime quantum)
     : quantum_(quantum),
-      fiber_stack_bytes_(fiber_stack_bytes),
       processor_available_(num_processors, 0),
       pending_interrupt_cost_(num_processors, 0) {
   PLAT_CHECK_GT(num_processors, 0);
@@ -25,10 +24,9 @@ Fiber* Scheduler::Spawn(int processor, std::string name, std::function<void()> b
   PLAT_CHECK_GE(processor, 0);
   PLAT_CHECK_LT(processor, num_processors());
   auto fiber = std::make_unique<Fiber>(static_cast<uint32_t>(fibers_.size()), processor,
-                                       std::move(name), std::move(body), fiber_stack_bytes_,
-                                       daemon);
+                                       std::move(name), std::move(body), daemon,
+                                       &Scheduler::Trampoline);
   Fiber* raw = fiber.get();
-  makecontext(&raw->context_, reinterpret_cast<void (*)()>(&Scheduler::Trampoline), 0);
   // A fiber spawned by a running fiber cannot begin before its spawner's
   // current virtual time.
   raw->clock_ = (current_ != nullptr) ? current_->clock_ : global_now_;
@@ -73,7 +71,7 @@ void Scheduler::Run() {
     BumpGlobalNow(start);
     current_ = fiber;
     ++switches_;
-    PLAT_CHECK_EQ(swapcontext(&main_context_, &fiber->context_), 0);
+    SwitchContext(main_context_, fiber->context_);
     current_ = nullptr;
   }
 
@@ -108,7 +106,7 @@ void Scheduler::FinishCurrent() {
       std::max(processor_available_[self->processor_], self->clock_);
   BumpGlobalNow(self->clock_);
   // Return to the dispatch loop for good.
-  PLAT_CHECK_EQ(swapcontext(&self->context_, &main_context_), 0);
+  SwitchContext(self->context_, main_context_, /*from_exits=*/true);
 }
 
 SimTime Scheduler::now() const {
@@ -218,7 +216,7 @@ void Scheduler::SwitchOut(SimTime release_processor_at) {
   // Record only time actually executed: a sleeping fiber's clock already
   // points at its future wake-up and must not drag global_now forward.
   BumpGlobalNow(release_processor_at);
-  PLAT_CHECK_EQ(swapcontext(&self->context_, &main_context_), 0);
+  SwitchContext(self->context_, main_context_);
 }
 
 void Scheduler::BumpGlobalNow(SimTime t) {

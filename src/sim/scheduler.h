@@ -38,7 +38,7 @@ class Scheduler {
  public:
   // `quantum` bounds how far a fiber may run ahead before yielding; it is the
   // maximum clock skew between concurrently simulated processors.
-  Scheduler(int num_processors, SimTime quantum, uint32_t fiber_stack_bytes);
+  Scheduler(int num_processors, SimTime quantum);
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
@@ -133,7 +133,6 @@ class Scheduler {
   void FinishCurrent();
 
   const SimTime quantum_;
-  const uint32_t fiber_stack_bytes_;
 
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::priority_queue<ReadyEntry, std::vector<ReadyEntry>, std::greater<ReadyEntry>> ready_;
@@ -141,7 +140,8 @@ class Scheduler {
   std::vector<SimTime> pending_interrupt_cost_;
 
   Fiber* current_ = nullptr;
-  ucontext_t main_context_;
+  // The host thread's context while a fiber runs.
+  FiberContext main_context_;
   SimTime global_now_ = 0;
   TimeObserver* time_observer_ = nullptr;
   int live_non_daemon_ = 0;

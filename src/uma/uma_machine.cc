@@ -17,7 +17,7 @@ UmaMachine::UmaMachine(const UmaParams& params)
         params.Validate();
         return params;
       }()),
-      scheduler_(params_.num_processors, params_.quantum_ns, params_.fiber_stack_bytes),
+      scheduler_(params_.num_processors, params_.quantum_ns),
       memory_(params_.memory_words, 0) {
   caches_.reserve(params_.num_processors);
   for (int p = 0; p < params_.num_processors; ++p) {

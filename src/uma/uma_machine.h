@@ -35,7 +35,6 @@ struct UmaParams {
   sim::SimTime bus_occupancy_fetch_ns = 250;
   sim::SimTime bus_occupancy_write_ns = 120;
   sim::SimTime quantum_ns = 20 * sim::kMicrosecond;
-  uint32_t fiber_stack_bytes = 256 * 1024;
 
   void Validate() const;
 };

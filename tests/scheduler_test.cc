@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -11,10 +14,39 @@ namespace platinum::sim {
 namespace {
 
 constexpr SimTime kQuantum = 20 * kMicrosecond;
-constexpr uint32_t kStack = 128 * 1024;
+
+// Recurses until the stack runs out. The volatile frame buffer, read after
+// the recursive call, keeps the compiler from turning the recursion into a
+// loop.
+int RecurseWithoutBound(int depth) {
+  volatile char frame[512];
+  frame[0] = static_cast<char>(depth);
+  if (depth == std::numeric_limits<int>::max()) {
+    return 0;
+  }
+  return RecurseWithoutBound(depth + 1) + frame[0];
+}
+
+// 1/3 rounded in the current rounding mode. The volatile operands and result
+// keep the division between the mode changes around the call.
+double OneThird() {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  volatile double quotient = one / three;
+  return quotient;
+}
+
+// Whether a 16-byte aligned local really is 16-byte aligned. The compiler
+// places it assuming the ABI's stack alignment at function entry; reading the
+// address through a volatile keeps the check from being folded away.
+[[gnu::noinline]] bool LocalIsAligned16() {
+  alignas(16) char local[16];
+  char* volatile address = local;
+  return reinterpret_cast<std::uintptr_t>(address) % 16 == 0;
+}
 
 TEST(SchedulerTest, RunsSingleFiberToCompletion) {
-  Scheduler sched(2, kQuantum, kStack);
+  Scheduler sched(2, kQuantum);
   bool ran = false;
   sched.Spawn(0, "solo", [&] {
     sched.Advance(5 * kMicrosecond);
@@ -26,7 +58,7 @@ TEST(SchedulerTest, RunsSingleFiberToCompletion) {
 }
 
 TEST(SchedulerTest, InterleavesByVirtualTime) {
-  Scheduler sched(2, kQuantum, kStack);
+  Scheduler sched(2, kQuantum);
   std::vector<int> order;
   // Fiber A advances in large steps, B in small ones; with yields between
   // steps, B's events must come first in virtual-time order.
@@ -53,7 +85,7 @@ TEST(SchedulerTest, InterleavesByVirtualTime) {
 }
 
 TEST(SchedulerTest, MaybeYieldHonorsQuantum) {
-  Scheduler sched(1, kQuantum, kStack);
+  Scheduler sched(1, kQuantum);
   sched.Spawn(0, "f", [&] {
     sched.Advance(kQuantum / 2);
     EXPECT_FALSE(sched.MaybeYield());
@@ -64,7 +96,7 @@ TEST(SchedulerTest, MaybeYieldHonorsQuantum) {
 }
 
 TEST(SchedulerTest, SameProcessorFibersSerialize) {
-  Scheduler sched(1, kQuantum, kStack);
+  Scheduler sched(1, kQuantum);
   // Two fibers on one processor, each consuming 50us of CPU; total elapsed
   // must be at least 100us even though both start at t=0.
   for (int i = 0; i < 2; ++i) {
@@ -77,7 +109,7 @@ TEST(SchedulerTest, SameProcessorFibersSerialize) {
 }
 
 TEST(SchedulerTest, DifferentProcessorsRunInParallel) {
-  Scheduler sched(2, kQuantum, kStack);
+  Scheduler sched(2, kQuantum);
   for (int i = 0; i < 2; ++i) {
     std::string name = "f";
     name += std::to_string(i);
@@ -88,7 +120,7 @@ TEST(SchedulerTest, DifferentProcessorsRunInParallel) {
 }
 
 TEST(SchedulerTest, SleepReleasesProcessor) {
-  Scheduler sched(1, kQuantum, kStack);
+  Scheduler sched(1, kQuantum);
   SimTime b_done = 0;
   sched.Spawn(0, "sleeper", [&] { sched.Sleep(1 * kMillisecond); });
   sched.Spawn(0, "worker", [&] {
@@ -102,7 +134,7 @@ TEST(SchedulerTest, SleepReleasesProcessor) {
 }
 
 TEST(SchedulerTest, BlockAndWake) {
-  Scheduler sched(2, kQuantum, kStack);
+  Scheduler sched(2, kQuantum);
   Fiber* blocked = nullptr;
   SimTime resumed_at = 0;
   blocked = sched.Spawn(0, "blocked", [&] {
@@ -118,7 +150,7 @@ TEST(SchedulerTest, BlockAndWake) {
 }
 
 TEST(SchedulerTest, JoinAdvancesJoinerClock) {
-  Scheduler sched(2, kQuantum, kStack);
+  Scheduler sched(2, kQuantum);
   Fiber* worker = sched.Spawn(0, "worker", [&] { sched.Advance(500 * kMicrosecond); });
   SimTime join_time = 0;
   sched.Spawn(1, "joiner", [&] {
@@ -130,7 +162,7 @@ TEST(SchedulerTest, JoinAdvancesJoinerClock) {
 }
 
 TEST(SchedulerTest, JoinFinishedFiberReturnsImmediately) {
-  Scheduler sched(2, kQuantum, kStack);
+  Scheduler sched(2, kQuantum);
   Fiber* worker = sched.Spawn(0, "worker", [&] { sched.Advance(10 * kMicrosecond); });
   sched.Spawn(1, "late-joiner", [&] {
     sched.Advance(1 * kMillisecond);
@@ -141,7 +173,7 @@ TEST(SchedulerTest, JoinFinishedFiberReturnsImmediately) {
 }
 
 TEST(SchedulerTest, DaemonDoesNotKeepRunAlive) {
-  Scheduler sched(1, kQuantum, kStack);
+  Scheduler sched(1, kQuantum);
   int daemon_iterations = 0;
   sched.Spawn(
       0, "daemon",
@@ -160,14 +192,14 @@ TEST(SchedulerTest, DaemonDoesNotKeepRunAlive) {
 }
 
 TEST(SchedulerTest, InterruptCostChargedToNextOccupant) {
-  Scheduler sched(1, kQuantum, kStack);
+  Scheduler sched(1, kQuantum);
   sched.AddInterruptCost(0, 7 * kMicrosecond);
   sched.Spawn(0, "victim", [&] { EXPECT_EQ(sched.now(), 7 * kMicrosecond); });
   sched.Run();
 }
 
 TEST(SchedulerTest, MigrateCurrentMovesProcessor) {
-  Scheduler sched(2, kQuantum, kStack);
+  Scheduler sched(2, kQuantum);
   // Processor 1 is busy until t=200us.
   sched.Spawn(1, "busy", [&] { sched.Advance(200 * kMicrosecond); });
   sched.Spawn(0, "migrant", [&] {
@@ -182,7 +214,7 @@ TEST(SchedulerTest, MigrateCurrentMovesProcessor) {
 
 TEST(SchedulerTest, DeterministicAcrossRuns) {
   auto run_once = [] {
-    Scheduler sched(4, kQuantum, kStack);
+    Scheduler sched(4, kQuantum);
     std::vector<uint32_t> order;
     for (int p = 0; p < 4; ++p) {
       sched.Spawn(p, "f", [&, p] {
@@ -206,15 +238,73 @@ TEST(SchedulerDeathTest, DeadlockAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        Scheduler sched(1, kQuantum, kStack);
+        Scheduler sched(1, kQuantum);
         sched.Spawn(0, "stuck", [&] { sched.Block(); });
         sched.Run();
       },
       "deadlock");
 }
 
+TEST(SchedulerDeathTest, StackOverflowHitsGuardPage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Scheduler sched(1, kQuantum);
+        sched.Spawn(0, "deep", [] { RecurseWithoutBound(0); });
+        sched.Run();
+      },
+      "");
+}
+
+// A switch keeps each fiber's floating-point control state: the x87 control
+// word (what fegetround reads) and MXCSR (what SSE division rounds by).
+TEST(SchedulerTest, RoundingModeIsPerFiber) {
+  std::fesetround(FE_UPWARD);
+  const double upward = OneThird();
+  std::fesetround(FE_TONEAREST);
+  const double nearest = OneThird();
+  ASSERT_NE(upward, nearest);
+
+  Scheduler sched(2, kQuantum);
+  int other_mode = -1;
+  double other_quotient = 0;
+  int resumed_mode = -1;
+  double resumed_quotient = 0;
+  sched.Spawn(0, "rounds-up", [&] {
+    std::fesetround(FE_UPWARD);
+    sched.Yield();  // "other" runs here
+    resumed_mode = std::fegetround();
+    resumed_quotient = OneThird();
+    std::fesetround(FE_TONEAREST);
+  });
+  sched.Spawn(1, "other", [&] {
+    other_mode = std::fegetround();
+    other_quotient = OneThird();
+  });
+  sched.Run();
+  EXPECT_EQ(other_mode, FE_TONEAREST);
+  EXPECT_EQ(other_quotient, nearest);
+  EXPECT_EQ(resumed_mode, FE_UPWARD);
+  EXPECT_EQ(resumed_quotient, upward);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+TEST(SchedulerTest, FiberStackIsAbiAligned) {
+  Scheduler sched(1, kQuantum);
+  bool at_entry = false;
+  bool after_yield = false;
+  sched.Spawn(0, "f", [&] {
+    at_entry = LocalIsAligned16();
+    sched.Yield();
+    after_yield = LocalIsAligned16();
+  });
+  sched.Run();
+  EXPECT_TRUE(at_entry);
+  EXPECT_TRUE(after_yield);
+}
+
 TEST(SchedulerTest, SpawnFromFiberStartsAtSpawnerClock) {
-  Scheduler sched(2, kQuantum, kStack);
+  Scheduler sched(2, kQuantum);
   SimTime child_start = 0;
   sched.Spawn(0, "parent", [&] {
     sched.Advance(123 * kMicrosecond);
