@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 
 namespace platinum::base {
 
@@ -11,4 +12,16 @@ void CheckFailed(const char* file, int line, const char* expr, const std::string
   std::abort();
 }
 
+namespace internal {
+
+CheckMessageBuilder::CheckMessageBuilder(const char* file, int line, const char* expr)
+    : file_(file), line_(line), expr_(expr), stream_(new std::ostringstream) {}
+
+CheckMessageBuilder::~CheckMessageBuilder() {
+  CheckFailed(file_, line_, expr_, stream_->str());
+}
+
+std::ostream& CheckMessageBuilder::stream() { return *stream_; }
+
+}  // namespace internal
 }  // namespace platinum::base

@@ -4,11 +4,16 @@
 // coherence-protocol violation must abort the experiment rather than produce
 // a silently wrong measurement. PLAT_DCHECK compiles out in NDEBUG builds and
 // guards hot-path invariants.
+//
+// A passing PLAT_CHECK costs one compare and branch. Everything a failure
+// needs — the message stream, its formatting, the abort — lives out of line
+// in check.cc behind cold functions, so checks on the per-reference path do
+// not stop the compiler from inlining it (docs/PERFORMANCE.md).
 #ifndef SRC_BASE_CHECK_H_
 #define SRC_BASE_CHECK_H_
 
 #include <cstdint>
-#include <sstream>
+#include <ostream>
 #include <string>
 
 namespace platinum::base {
@@ -19,26 +24,31 @@ namespace platinum::base {
 
 namespace internal {
 
-// Streams optional context for a failed check; collapses to nothing when the
-// check passes.
+// Streams optional context for a failed check; only ever constructed once
+// the check has failed.
 class CheckMessageBuilder {
  public:
-  CheckMessageBuilder(const char* file, int line, const char* expr)
-      : file_(file), line_(line), expr_(expr) {}
+  [[gnu::cold]] CheckMessageBuilder(const char* file, int line, const char* expr);
+  [[noreturn, gnu::cold]] ~CheckMessageBuilder();
 
-  [[noreturn]] ~CheckMessageBuilder() { CheckFailed(file_, line_, expr_, stream_.str()); }
+  CheckMessageBuilder(const CheckMessageBuilder&) = delete;
+  CheckMessageBuilder& operator=(const CheckMessageBuilder&) = delete;
 
   template <typename T>
   CheckMessageBuilder& operator<<(const T& value) {
-    stream_ << value;
+    stream() << value;
     return *this;
   }
 
  private:
+  [[gnu::cold]] std::ostream& stream();
+
   const char* file_;
   int line_;
   const char* expr_;
-  std::ostringstream stream_;
+  // Allocated by the constructor, so the builder is four words on the
+  // caller's frame; never freed, because the destructor aborts.
+  std::ostringstream* stream_;
 };
 
 }  // namespace internal

@@ -9,14 +9,6 @@ Atc::Atc(uint32_t num_entries) : slots_(num_entries), mask_(num_entries - 1) {
   PLAT_CHECK_EQ(num_entries & mask_, 0u) << "ATC size must be a power of two";
 }
 
-const PmapEntry* Atc::Lookup(uint32_t as_id, uint32_t vpn) const {
-  const Slot& slot = slots_[IndexOf(vpn)];
-  if (slot.valid && slot.as_id == as_id && slot.vpn == vpn) {
-    return &slot.entry;
-  }
-  return nullptr;
-}
-
 void Atc::Fill(uint32_t as_id, uint32_t vpn, const PmapEntry& entry) {
   PLAT_CHECK(entry.valid);
   Slot& slot = slots_[IndexOf(vpn)];

@@ -19,7 +19,13 @@ class Atc {
   explicit Atc(uint32_t num_entries);
 
   // Returns the cached translation for (as_id, vpn), or nullptr on miss.
-  const PmapEntry* Lookup(uint32_t as_id, uint32_t vpn) const;
+  const PmapEntry* Lookup(uint32_t as_id, uint32_t vpn) const {
+    const Slot& slot = slots_[IndexOf(vpn)];
+    if (slot.valid && slot.as_id == as_id && slot.vpn == vpn) {
+      return &slot.entry;
+    }
+    return nullptr;
+  }
   // Installs a translation, evicting whatever shared its slot.
   void Fill(uint32_t as_id, uint32_t vpn, const PmapEntry& entry);
   // Drops the translation for one page, if cached.

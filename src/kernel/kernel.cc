@@ -30,12 +30,6 @@ Kernel::Kernel(sim::Machine* machine, KernelOptions options)
 
 Kernel::~Kernel() = default;
 
-Kernel::VaParts Kernel::Split(uint32_t va) const {
-  PLAT_DCHECK((va & 3u) == 0) << "unaligned word access at va " << va;
-  return VaParts{va >> page_shift_,
-                 (va & (machine_->params().page_size_bytes - 1)) >> 2};
-}
-
 vm::MemoryObject* Kernel::CreateMemoryObject(std::string name, uint32_t pages,
                                              int home_module) {
   auto object = std::make_unique<vm::MemoryObject>(static_cast<uint32_t>(objects_.size()),
@@ -149,23 +143,6 @@ void Kernel::MigrateCurrentThread(Thread* thread, int new_processor) {
   memory_->Activate(thread->address_space().id(), new_processor);
 }
 
-uint32_t Kernel::ReadWord(vm::AddressSpace* space, uint32_t va) {
-  VaParts parts = Split(va);
-  mem::CoherentMemory::AccessResult result =
-      memory_->Access(space->id(), parts.vpn, parts.word_offset, sim::AccessKind::kRead);
-  PLAT_CHECK(result.outcome == mem::AccessOutcome::kOk)
-      << "read fault at va " << va << " in space '" << space->name() << "'";
-  return result.value;
-}
-
-void Kernel::WriteWord(vm::AddressSpace* space, uint32_t va, uint32_t value) {
-  VaParts parts = Split(va);
-  mem::CoherentMemory::AccessResult result = memory_->Access(
-      space->id(), parts.vpn, parts.word_offset, sim::AccessKind::kWrite, value);
-  PLAT_CHECK(result.outcome == mem::AccessOutcome::kOk)
-      << "write fault at va " << va << " in space '" << space->name() << "'";
-}
-
 void Kernel::ReadWords(vm::AddressSpace* space, uint32_t va, uint32_t count, uint32_t* out) {
   if (count == 0) {
     return;
@@ -191,8 +168,8 @@ void Kernel::WriteWords(vm::AddressSpace* space, uint32_t va, uint32_t count,
       << space->name() << "'";
 }
 
-uint32_t Kernel::AtomicReadModifyWrite(vm::AddressSpace* space, uint32_t va,
-                                       const std::function<uint32_t(uint32_t)>& update) {
+template <typename Update>
+uint32_t Kernel::AtomicReadModifyWrite(vm::AddressSpace* space, uint32_t va, Update update) {
   VaParts parts = Split(va);
   // Fibers only interleave at yield points, so a read immediately followed by
   // a write (both with yielding suppressed) is atomic, modeling the

@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/check.h"
 #include "src/kernel/port.h"
 #include "src/kernel/thread.h"
 #include "src/mem/coherent_memory.h"
@@ -89,8 +90,21 @@ class Kernel {
   void Run();
 
   // --- Coherent memory access (32-bit words; `va` is a byte address) -----------
-  uint32_t ReadWord(vm::AddressSpace* space, uint32_t va);
-  void WriteWord(vm::AddressSpace* space, uint32_t va, uint32_t value);
+  uint32_t ReadWord(vm::AddressSpace* space, uint32_t va) {
+    VaParts parts = Split(va);
+    mem::CoherentMemory::AccessResult result =
+        memory_->Access(space->id(), parts.vpn, parts.word_offset, sim::AccessKind::kRead);
+    PLAT_CHECK(result.outcome == mem::AccessOutcome::kOk)
+        << "read fault at va " << va << " in space '" << space->name() << "'";
+    return result.value;
+  }
+  void WriteWord(vm::AddressSpace* space, uint32_t va, uint32_t value) {
+    VaParts parts = Split(va);
+    mem::CoherentMemory::AccessResult result = memory_->Access(
+        space->id(), parts.vpn, parts.word_offset, sim::AccessKind::kWrite, value);
+    PLAT_CHECK(result.outcome == mem::AccessOutcome::kOk)
+        << "write fault at va " << va << " in space '" << space->name() << "'";
+  }
   // Block transfer of `count` consecutive words starting at `va` (may span
   // pages). Simulated behavior is identical to `count` ReadWord/WriteWord
   // calls — same latencies, faults and yield points — with the per-word host
@@ -156,9 +170,13 @@ class Kernel {
     uint32_t vpn;
     uint32_t word_offset;
   };
-  VaParts Split(uint32_t va) const;
-  uint32_t AtomicReadModifyWrite(vm::AddressSpace* space, uint32_t va,
-                                 const std::function<uint32_t(uint32_t)>& update);
+  VaParts Split(uint32_t va) const {
+    PLAT_DCHECK((va & 3u) == 0) << "unaligned word access at va " << va;
+    return VaParts{va >> page_shift_, (va & (machine_->params().page_size_bytes - 1)) >> 2};
+  }
+  // Reads the word at `va`, then stores `update(old)`; returns the old value.
+  template <typename Update>
+  uint32_t AtomicReadModifyWrite(vm::AddressSpace* space, uint32_t va, Update update);
   void MigrateCurrentThread(Thread* thread, int new_processor);
 
   // A registered word range, kept so ranges declared before the detector is

@@ -255,7 +255,7 @@ AccessOutcome CoherentMemory::AccessRange(uint32_t as_id, uint32_t vpn, uint32_t
       if (access_observer_ != nullptr) [[unlikely]] {
         NotifyAccessObserver(as_id, vpn, word_offset, kind, processor);
       }
-      machine_->Reference(module, kind);
+      machine_->Reference(processor, module, kind);
       if (kind == sim::AccessKind::kRead) {
         read_out[done] = machine_->ReadWordRaw(module, frame, word_offset);
       } else {

@@ -292,7 +292,7 @@ class CoherentMemory {
     if (access_observer_ != nullptr) [[unlikely]] {
       NotifyAccessObserver(as_id, vpn, word_offset, kind, processor);
     }
-    machine_->Reference(translation.module, kind);
+    machine_->Reference(processor, translation.module, kind);
     AccessResult result;
     if (kind == sim::AccessKind::kRead) {
       result.value = machine_->ReadWordRaw(translation.module, translation.frame, word_offset);

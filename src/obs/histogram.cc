@@ -1,20 +1,11 @@
 #include "src/obs/histogram.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 
 namespace platinum::obs {
-
-int LatencyHistogram::BucketIndex(sim::SimTime value_ns) {
-  if (value_ns == 0) {
-    return 0;
-  }
-  int b = std::bit_width(value_ns);
-  return b < kBuckets ? b : kBuckets - 1;
-}
 
 sim::SimTime LatencyHistogram::BucketLower(int b) {
   if (b <= 0) {
@@ -31,18 +22,6 @@ sim::SimTime LatencyHistogram::BucketUpper(int b) {
     return ~sim::SimTime{0};
   }
   return (sim::SimTime{1} << b) - 1;
-}
-
-void LatencyHistogram::Record(sim::SimTime value_ns) {
-  ++buckets_[static_cast<size_t>(BucketIndex(value_ns))];
-  if (count_ == 0 || value_ns < min_) {
-    min_ = value_ns;
-  }
-  if (value_ns > max_) {
-    max_ = value_ns;
-  }
-  sum_ += value_ns;
-  ++count_;
 }
 
 double LatencyHistogram::Mean() const {

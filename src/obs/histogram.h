@@ -10,6 +10,7 @@
 #define SRC_OBS_HISTOGRAM_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -23,7 +24,17 @@ class LatencyHistogram {
   // range [2^(b-1), 2^b); bucket 0 holds exactly the value 0.
   static constexpr int kBuckets = 64;
 
-  void Record(sim::SimTime value_ns);
+  void Record(sim::SimTime value_ns) {
+    ++buckets_[static_cast<size_t>(BucketIndex(value_ns))];
+    if (count_ == 0 || value_ns < min_) {
+      min_ = value_ns;
+    }
+    if (value_ns > max_) {
+      max_ = value_ns;
+    }
+    sum_ += value_ns;
+    ++count_;
+  }
 
   uint64_t count() const { return count_; }
   sim::SimTime sum() const { return sum_; }
@@ -39,7 +50,13 @@ class LatencyHistogram {
   sim::SimTime Percentile(double p) const;
 
   const std::array<uint64_t, kBuckets>& buckets() const { return buckets_; }
-  static int BucketIndex(sim::SimTime value_ns);
+  static int BucketIndex(sim::SimTime value_ns) {
+    if (value_ns == 0) {
+      return 0;
+    }
+    int b = std::bit_width(value_ns);
+    return b < kBuckets ? b : kBuckets - 1;
+  }
   // Inclusive bounds of bucket `b`.
   static sim::SimTime BucketLower(int b);
   static sim::SimTime BucketUpper(int b);

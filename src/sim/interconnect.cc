@@ -14,43 +14,6 @@ Interconnect::Interconnect(const MachineParams& params, std::vector<MemoryModule
   PLAT_CHECK(obs_ != nullptr);
 }
 
-SimTime Interconnect::Reference(int requester_node, int target_node, AccessKind kind,
-                                SimTime now) {
-  const bool local = requester_node == target_node;
-  SimTime base;
-  SimTime occupancy;
-  if (local) {
-    base = kind == AccessKind::kRead ? params_.local_read_ns : params_.local_write_ns;
-    occupancy = params_.module_occupancy_local_ns;
-    if (kind == AccessKind::kRead) {
-      ++stats_->local_reads;
-    } else {
-      ++stats_->local_writes;
-    }
-    ++obs_->cpu(requester_node).local_refs;
-  } else {
-    base = kind == AccessKind::kRead ? params_.remote_read_ns : params_.remote_write_ns;
-    occupancy = params_.module_occupancy_remote_ns;
-    if (kind == AccessKind::kRead) {
-      ++stats_->remote_reads;
-    } else {
-      ++stats_->remote_writes;
-    }
-    ++obs_->cpu(requester_node).remote_refs;
-  }
-
-  MemoryModule& module = (*modules_)[target_node];
-  SimTime start = std::max(now, module.bus_busy_until);
-  module.bus_busy_until = start + occupancy;
-  SimTime wait = start - now;
-  stats_->module_wait_ns += wait;
-  obs::ModuleCounters& counters = obs_->module(target_node);
-  ++counters.references_served;
-  counters.queue_wait_ns += wait;
-  obs_->RecordLatency(obs::HistKind::kModuleQueue, wait);
-  return wait + base;
-}
-
 SimTime Interconnect::BlockTransfer(int src_node, int dst_node, uint32_t words, SimTime now) {
   PLAT_CHECK_NE(src_node, dst_node);
   MemoryModule& src = (*modules_)[src_node];

@@ -10,6 +10,7 @@
 #ifndef SRC_SIM_INTERCONNECT_H_
 #define SRC_SIM_INTERCONNECT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -31,7 +32,41 @@ class Interconnect {
   // Latency of one 32-bit reference issued at virtual time `now` by
   // `requester_node` against `target_node`'s module, including any time spent
   // queued behind other traffic. Updates module bus occupancy and stats.
-  SimTime Reference(int requester_node, int target_node, AccessKind kind, SimTime now);
+  SimTime Reference(int requester_node, int target_node, AccessKind kind, SimTime now) {
+    const bool local = requester_node == target_node;
+    SimTime base;
+    SimTime occupancy;
+    if (local) {
+      base = kind == AccessKind::kRead ? params_.local_read_ns : params_.local_write_ns;
+      occupancy = params_.module_occupancy_local_ns;
+      if (kind == AccessKind::kRead) {
+        ++stats_->local_reads;
+      } else {
+        ++stats_->local_writes;
+      }
+      ++obs_->cpu(requester_node).local_refs;
+    } else {
+      base = kind == AccessKind::kRead ? params_.remote_read_ns : params_.remote_write_ns;
+      occupancy = params_.module_occupancy_remote_ns;
+      if (kind == AccessKind::kRead) {
+        ++stats_->remote_reads;
+      } else {
+        ++stats_->remote_writes;
+      }
+      ++obs_->cpu(requester_node).remote_refs;
+    }
+
+    MemoryModule& module = (*modules_)[target_node];
+    SimTime start = std::max(now, module.bus_busy_until);
+    module.bus_busy_until = start + occupancy;
+    SimTime wait = start - now;
+    stats_->module_wait_ns += wait;
+    obs::ModuleCounters& counters = obs_->module(target_node);
+    ++counters.references_served;
+    counters.queue_wait_ns += wait;
+    obs_->RecordLatency(obs::HistKind::kModuleQueue, wait);
+    return wait + base;
+  }
 
   // Schedules a block transfer of `words` 32-bit words from `src_node` to
   // `dst_node` starting no earlier than `now`. Returns the completion time.

@@ -26,13 +26,6 @@ MemoryModule& Machine::module(int node) {
   return modules_[node];
 }
 
-SimTime Machine::Reference(int target_node, AccessKind kind) {
-  int requester = scheduler_.current() != nullptr ? scheduler_.current_processor() : 0;
-  SimTime latency = interconnect_.Reference(requester, target_node, kind, scheduler_.now());
-  scheduler_.Advance(latency);
-  return latency;
-}
-
 void Machine::BlockTransferPage(int src_node, uint32_t src_frame, int dst_node,
                                 uint32_t dst_frame) {
   PLAT_CHECK_NE(src_node, dst_node);
@@ -45,18 +38,6 @@ void Machine::BlockTransferPage(int src_node, uint32_t src_frame, int dst_node,
   // Request-to-completion duration, including the time queued behind other
   // traffic on either bus.
   obs_.RecordLatency(obs::HistKind::kBlockTransfer, done - started);
-}
-
-uint32_t Machine::ReadWordRaw(int node, uint32_t frame, uint32_t word_offset) const {
-  PLAT_DCHECK(word_offset < params_.words_per_page());
-  uint32_t value;
-  std::memcpy(&value, modules_[node].FrameData(frame) + word_offset * 4, 4);
-  return value;
-}
-
-void Machine::WriteWordRaw(int node, uint32_t frame, uint32_t word_offset, uint32_t value) {
-  PLAT_DCHECK(word_offset < params_.words_per_page());
-  std::memcpy(modules_[node].FrameData(frame) + word_offset * 4, &value, 4);
 }
 
 }  // namespace platinum::sim

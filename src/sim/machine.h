@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/base/check.h"
 #include "src/obs/observability.h"
 #include "src/sim/interconnect.h"
 #include "src/sim/memory_module.h"
@@ -37,13 +38,18 @@ class Machine {
   MemoryModule& module(int node);
 
   // --- Timed operations, charged to the current fiber -----------------------
-  // One 32-bit reference against `target_node` from the current processor.
-  // Returns the latency charged.
-  SimTime Reference(int target_node, AccessKind kind);
-  // As above but on behalf of kernel code touching a kernel structure that
-  // lives on `target_node` (identical costs; separate name for readability).
-  SimTime KernelReference(int target_node, AccessKind kind) {
-    return Reference(target_node, kind);
+  // One 32-bit reference against `target_node` from the current processor
+  // (processor 0 outside any fiber). Returns the latency charged.
+  SimTime Reference(int target_node, AccessKind kind) {
+    int requester = scheduler_.current() != nullptr ? scheduler_.current_processor() : 0;
+    return Reference(requester, target_node, kind);
+  }
+  // As above, for a caller that already knows the current processor (the
+  // coherent-memory access path).
+  SimTime Reference(int requester_node, int target_node, AccessKind kind) {
+    SimTime latency = interconnect_.Reference(requester_node, target_node, kind, scheduler_.now());
+    scheduler_.Advance(latency);
+    return latency;
   }
   // Charges pure compute time to the current fiber.
   void Compute(SimTime duration) { scheduler_.Advance(duration); }
@@ -54,8 +60,14 @@ class Machine {
   void BlockTransferPage(int src_node, uint32_t src_frame, int dst_node, uint32_t dst_frame);
 
   // --- Untimed data plumbing -------------------------------------------------
-  uint32_t ReadWordRaw(int node, uint32_t frame, uint32_t word_offset) const;
-  void WriteWordRaw(int node, uint32_t frame, uint32_t word_offset, uint32_t value);
+  uint32_t ReadWordRaw(int node, uint32_t frame, uint32_t word_offset) const {
+    PLAT_DCHECK(word_offset < params_.words_per_page());
+    return modules_[node].ReadWord(frame, word_offset);
+  }
+  void WriteWordRaw(int node, uint32_t frame, uint32_t word_offset, uint32_t value) {
+    PLAT_DCHECK(word_offset < params_.words_per_page());
+    modules_[node].WriteWord(frame, word_offset, value);
+  }
 
   // Page identifiers for frames allocated outside the coherent-memory system
   // (baselines that place data by hand). Distinct from Cpage ids, which grow

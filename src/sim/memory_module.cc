@@ -96,14 +96,4 @@ uint32_t MemoryModule::FrameOwner(uint32_t frame) const {
   return owner;
 }
 
-uint8_t* MemoryModule::FrameData(uint32_t frame) {
-  PLAT_CHECK_LT(frame, num_frames_);
-  return data_.data() + static_cast<size_t>(frame) * page_size_;
-}
-
-const uint8_t* MemoryModule::FrameData(uint32_t frame) const {
-  PLAT_CHECK_LT(frame, num_frames_);
-  return data_.data() + static_cast<size_t>(frame) * page_size_;
-}
-
 }  // namespace platinum::sim

@@ -10,9 +10,11 @@
 #define SRC_SIM_MEMORY_MODULE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <vector>
 
+#include "src/base/check.h"
 #include "src/base/discipline_lock.h"
 #include "src/base/thread_annotations.h"
 #include "src/sim/params.h"
@@ -54,8 +56,23 @@ class MemoryModule {
   uint32_t FrameOwner(uint32_t frame) const;
 
   // Raw backing storage of a frame (page_size bytes).
-  uint8_t* FrameData(uint32_t frame);
-  const uint8_t* FrameData(uint32_t frame) const;
+  uint8_t* FrameData(uint32_t frame) {
+    PLAT_CHECK_LT(frame, num_frames_);
+    return data_.data() + static_cast<size_t>(frame) * page_size_;
+  }
+  const uint8_t* FrameData(uint32_t frame) const {
+    PLAT_CHECK_LT(frame, num_frames_);
+    return data_.data() + static_cast<size_t>(frame) * page_size_;
+  }
+  // One 32-bit word of a frame's backing storage, `word` words into it.
+  uint32_t ReadWord(uint32_t frame, uint32_t word) const {
+    uint32_t value;
+    std::memcpy(&value, FrameData(frame) + word * 4, 4);
+    return value;
+  }
+  void WriteWord(uint32_t frame, uint32_t word, uint32_t value) {
+    std::memcpy(FrameData(frame) + word * 4, &value, 4);
+  }
 
   // Bus occupancy bookkeeping: the virtual time until which this module's bus
   // is busy. Maintained by the Interconnect.

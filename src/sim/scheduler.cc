@@ -109,38 +109,11 @@ void Scheduler::FinishCurrent() {
   SwitchContext(self->context_, main_context_, /*from_exits=*/true);
 }
 
-SimTime Scheduler::now() const {
-  return (current_ != nullptr) ? current_->clock_ : global_now_;
-}
-
-int Scheduler::current_processor() const {
-  PLAT_CHECK(current_ != nullptr) << "no fiber is running";
-  return current_->processor_;
-}
-
-void Scheduler::Advance(SimTime duration) {
-  if (current_ == nullptr) {
-    return;  // machine setup before Run(); costs nothing in virtual time
-  }
-  current_->clock_ += duration;
-}
-
 void Scheduler::AdvanceTo(SimTime t) {
   if (current_ == nullptr) {
     return;
   }
   current_->clock_ = std::max(current_->clock_, t);
-}
-
-bool Scheduler::MaybeYield() {
-  if (current_ == nullptr) {
-    return false;
-  }
-  if (current_->clock_ - current_->resumed_at_ < quantum_) {
-    return false;
-  }
-  Yield();
-  return true;
 }
 
 void Scheduler::Yield() {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/check.h"
 #include "src/base/thread_annotations.h"
 #include "src/sim/fiber.h"
 #include "src/sim/time.h"
@@ -59,16 +60,24 @@ class Scheduler {
   Fiber* current() const { return current_; }
   // Virtual time at the calling context: the current fiber's clock, or the
   // global high-water mark when called outside any fiber.
-  SimTime now() const;
+  SimTime now() const { return (current_ != nullptr) ? current_->clock_ : global_now_; }
   SimTime global_now() const { return global_now_; }
-  int current_processor() const;
+  int current_processor() const {
+    PLAT_CHECK(current_ != nullptr) << "no fiber is running";
+    return current_->processor_;
+  }
   int num_processors() const { return static_cast<int>(processor_available_.size()); }
   uint64_t context_switches() const { return switches_; }
 
   // --- Time accounting (current fiber) --------------------------------------
   // Charges `duration` of computation/latency to the current fiber. Never a
   // switch point: clock advances are atomic with respect to other fibers.
-  void Advance(SimTime duration) PLATINUM_NO_YIELD;
+  void Advance(SimTime duration) PLATINUM_NO_YIELD {
+    if (current_ == nullptr) {
+      return;  // machine setup before Run(); costs nothing in virtual time
+    }
+    current_->clock_ += duration;
+  }
   // Moves the current fiber's clock forward to at least `t` (waiting on an
   // external resource). No-op if already past `t`.
   void AdvanceTo(SimTime t) PLATINUM_NO_YIELD;
@@ -80,7 +89,13 @@ class Scheduler {
   //
   // Yields if the current fiber has exceeded its quantum. Returns true if a
   // switch happened.
-  bool MaybeYield() PLATINUM_MAY_YIELD;
+  bool MaybeYield() PLATINUM_MAY_YIELD {
+    if (current_ == nullptr || current_->clock_ - current_->resumed_at_ < quantum_) {
+      return false;
+    }
+    Yield();
+    return true;
+  }
   void Yield() PLATINUM_MAY_YIELD;
   // Advances the clock by `duration` without occupying the processor, letting
   // other fibers bound to the same processor run meanwhile.

@@ -145,6 +145,64 @@ TEST(KernelDeathTest, ReceiveOutsideThreadAborts) {
       "thread");
 }
 
+// The per-reference path inlines its checks; their failure messages are built
+// out of line, so pin that each still aborts with its context.
+TEST(HotPathDeathTest, CurrentProcessorOutsideFiberAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        sim::Machine machine(sim::ButterflyPlusParams(2));
+        (void)machine.scheduler().current_processor();
+      },
+      "no fiber is running");
+}
+
+TEST(HotPathDeathTest, FrameDataPastLastFrameAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        sim::Machine machine(sim::ButterflyPlusParams(2));
+        sim::MemoryModule& module = machine.module(1);
+        (void)module.FrameData(module.num_frames());
+      },
+      "\\(frame\\) < \\(num_frames_\\)");
+}
+
+TEST(HotPathDeathTest, ReadOfUnboundAddressAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        TestSystem sys(2);
+        auto* space = sys.kernel.CreateAddressSpace("holes", 16);
+        test::RunInThread(sys.kernel, space, 1,
+                          [&] { (void)sys.kernel.ReadWord(space, 8 * sys.kernel.page_size()); });
+      },
+      "read fault at va [0-9]+ in space 'holes'");
+}
+
+TEST(HotPathDeathTest, WriteOfUnboundAddressAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        TestSystem sys(2);
+        auto* space = sys.kernel.CreateAddressSpace("holes", 16);
+        test::RunInThread(sys.kernel, space, 0, [&] { sys.kernel.WriteWord(space, 4, 7); });
+      },
+      "write fault at va 4 in space 'holes'");
+}
+
+TEST(CheckDeathTest, FailureReportsLocationExpressionAndContext) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  int answer = 41;
+  EXPECT_DEATH(PLAT_CHECK(answer == 42) << "answer was " << answer,
+               "PLAT_CHECK failed at [^ ]*robustness_test\\.cc:[0-9]+: "
+               "answer == 42 answer was 41");
+  uint32_t big = 5;
+  uint32_t small = 3;
+  EXPECT_DEATH(PLAT_CHECK_LT(big, small),
+               "robustness_test\\.cc:[0-9]+: \\(big\\) < \\(small\\)  \\(5 vs 3\\)");
+}
+
 // Stale data must never be visible after a page is thawed and re-replicated
 // repeatedly under churn.
 TEST(ChurnTest, RepeatedFreezeThawCyclesPreserveData) {

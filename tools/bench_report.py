@@ -9,7 +9,7 @@ is meant to move. Tables written via PLATINUM_JSON_DIR are embedded so the
 simulated-time series travel with the baseline.
 
 Usage:
-  tools/bench_report.py --build-dir build --out BENCH_PR14.json [--small]
+  tools/bench_report.py --build-dir build --out BENCH_PR15.json [--small]
 
 `--small` shrinks the workloads to CI size (same knobs as the ctest smoke
 tests); without it the default run-in-seconds sizes are used. PLATINUM_FULL
@@ -92,8 +92,8 @@ def run_bench(binary, json_dir, env):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--build-dir", default="build")
-    parser.add_argument("--out", default="BENCH_PR14.json")
-    parser.add_argument("--tag", default="PR14")
+    parser.add_argument("--out", default="BENCH_PR15.json")
+    parser.add_argument("--tag", default="PR15")
     parser.add_argument("--small", action="store_true", help="CI-size workloads")
     parser.add_argument("--benches", nargs="*", default=BENCHES)
     args = parser.parse_args()
