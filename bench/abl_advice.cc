@@ -9,8 +9,6 @@
 //   * a hot-spot counter page explicitly pinned vs. discovered-by-freezing;
 //   * a producer/consumer phase with the consumer pre-replicating
 //     (prefetching) the producer's pages before its reading phase.
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_util.h"
 #include "src/apps/neural.h"
 #include "src/apps/patterns.h"
@@ -34,7 +32,9 @@ SimTime NeuralRun(bool advised) {
   config.processors = 16;
   config.epochs = 5;
   config.advise_write_shared = advised;
-  return RunNeuralPlatinum(kernel, config).train_ns;
+  SimTime t = RunNeuralPlatinum(kernel, config).train_ns;
+  bench::RunMetrics::Count(machine);
+  return t;
 }
 
 // Hot-spot counters: everyone read-modify-writes one page. Pinning it up
@@ -59,7 +59,8 @@ SimTime HotSpotRun(bool pinned) {
       kernel.machine().scheduler().Sleep(20 * sim::kMicrosecond);
     }
   });
-  return kernel.machine().scheduler().global_now() - start;
+  bench::RunMetrics::Count(machine);
+  return machine.scheduler().global_now() - start;
 }
 
 // Producer writes a region; consumers then read it. With prefetching, the
@@ -99,33 +100,22 @@ SimTime ProducerConsumerRun(bool prefetch) {
     // measurement (Section 7).
     prefetched.Wait();
     SimTime t0 = kernel.Now();
-    uint32_t sum = 0;
     for (int page = 0; page < kPages; ++page) {
       for (uint32_t w = 0; w < page_words; w += 4) {
-        sum += data.Get(static_cast<size_t>(page) * page_words + w);
+        data.Get(static_cast<size_t>(page) * page_words + w);
       }
     }
-    benchmark::DoNotOptimize(sum);
     if (pid == 1) {
       consumer_phase = kernel.Now() - t0;
     }
   });
+  bench::RunMetrics::Count(machine);
   return consumer_phase;
 }
 
-void BM_NeuralAdvised(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_s"] = sim::ToSeconds(NeuralRun(state.range(0) != 0));
-  }
-}
-BENCHMARK(BM_NeuralAdvised)->Arg(0)->Arg(1)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   std::printf("\n=== Ablation: non-transparent placement hooks (Section 9) ===\n");
   double neural_plain = sim::ToSeconds(NeuralRun(false));
   double neural_advised = sim::ToSeconds(NeuralRun(true));
@@ -149,5 +139,6 @@ int main(int argc, char** argv) {
       "such hooks are anticipated to be used primarily by programming "
       "languages and their run-time support, not by application programmers "
       "(Section 9).");
+  bench::RunMetrics::Print();
   return 0;
 }

@@ -11,8 +11,6 @@
 //
 // This bench runs: the clean program (defrost on and off) and the co-located
 // variant (defrost on and off), at several defrost periods t2.
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_util.h"
 #include "src/apps/gauss.h"
 #include "src/kernel/kernel.h"
@@ -37,22 +35,14 @@ SimTime Run(bool colocate, bool defrost, SimTime t2 = 0) {
   config.processors = 16;
   config.colocate_size_and_flag = colocate;
   config.verify = false;
-  return RunGaussPlatinum(kernel, config).elimination_ns;
+  SimTime t = RunGaussPlatinum(kernel, config).elimination_ns;
+  bench::RunMetrics::Count(machine);
+  return t;
 }
-
-void BM_GaussDefrost(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_s"] = sim::ToSeconds(Run(state.range(0) != 0, state.range(1) != 0));
-  }
-}
-BENCHMARK(BM_GaussDefrost)->Args({0, 1})->Args({1, 1})->Args({1, 0})->Iterations(1);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   std::printf("\n=== Ablation: co-located sync variable + defrost daemon ===\n");
   double clean_on = sim::ToSeconds(Run(false, true));
   double clean_off = sim::ToSeconds(Run(false, false));
@@ -77,5 +67,6 @@ int main(int argc, char** argv) {
       "to the well-behaved version. Reducing t2 helps accidentally frozen "
       "pages thaw sooner at the cost of overhead for pages that should stay "
       "frozen.");
+  bench::RunMetrics::Print();
   return 0;
 }

@@ -10,8 +10,6 @@
 // per-page adaptivity. This bench pins the trade against the directory
 // protocol on the trie workload at 16/32/64 nodes, bracketing the default
 // 50 us lease from both sides.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -43,23 +41,9 @@ const LeaseVariant kVariants[] = {
 };
 constexpr int kNumVariants = 5;
 
-void BM_Lease(benchmark::State& state) {
-  for (auto _ : state) {
-    bench::TrieCell cell;
-    cell.protocol = "tardis";
-    cell.lease_ns = 25 * sim::kMicrosecond;
-    cell.procs = 16;
-    state.counters["serve_s"] = sim::ToSeconds(RunTrieCell(cell));
-  }
-}
-BENCHMARK(BM_Lease)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   std::printf("\n=== Ablation: tardis lease duration/policy on the serving trie ===\n");
   bench::SweepRunner runner;
   std::vector<SimTime> times =

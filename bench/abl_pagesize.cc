@@ -7,8 +7,6 @@
 // "Once the collection of application programs has grown to a reasonable
 // size we will systematically experiment with parameters such as page size"
 // (Section 9) — this is that experiment.
-#include <benchmark/benchmark.h>
-
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -66,20 +64,9 @@ SimTime NeuralAt(uint32_t page_bytes) {
   return t;
 }
 
-void BM_GaussPageSize(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_s"] =
-        sim::ToSeconds(GaussAt(static_cast<uint32_t>(state.range(0))));
-  }
-}
-BENCHMARK(BM_GaussPageSize)->Arg(1024)->Arg(4096)->Arg(16384)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   std::printf("\n=== Ablation: page size (16 processors) ===\n");
   std::printf("%10s %12s %12s %12s\n", "page (B)", "gauss (s)", "sort (s)", "neural (s)");
   const std::vector<uint32_t> sizes = {512u, 1024u, 2048u, 4096u, 8192u, 16384u};

@@ -5,8 +5,6 @@
 // that the timestamp policy matches always-cache on patterns where data
 // motion pays (private, read-shared, slow migratory) and matches never-cache
 // where it does not (hot-spot writes, false sharing).
-#include <benchmark/benchmark.h>
-
 #include <memory>
 
 #include "bench/bench_util.h"
@@ -48,26 +46,14 @@ apps::PatternResult RunOne(apps::AccessPattern pattern, int policy, sim::SimTime
   config.processors = 8;
   config.rounds = 40;
   config.think_ns = think;
-  return RunPattern(kernel, config);
+  apps::PatternResult result = RunPattern(kernel, config);
+  bench::RunMetrics::Count(machine);
+  return result;
 }
-
-void BM_Pattern(benchmark::State& state) {
-  for (auto _ : state) {
-    apps::PatternResult result =
-        RunOne(kPatterns[state.range(0)], static_cast<int>(state.range(1)),
-               200 * sim::kMicrosecond);
-    state.counters["sim_ms"] = sim::ToMilliseconds(result.elapsed_ns);
-    state.counters["freezes"] = static_cast<double>(result.freezes);
-  }
-}
-BENCHMARK(BM_Pattern)->ArgsProduct({{0, 1, 2, 3, 4, 5}, {0, 1, 2}})->Iterations(1);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   for (sim::SimTime think : {200 * sim::kMicrosecond, 15 * sim::kMillisecond}) {
     std::printf("\n=== Ablation: patterns x policies (8 procs, %.1f ms between rounds) ===\n",
                 sim::ToMilliseconds(think));
@@ -97,5 +83,6 @@ int main(int argc, char** argv) {
       "the timestamp policy should be within reach of the better of the two "
       "extreme policies on every pattern: caching where data motion pays, "
       "remote access where interleaved writes would thrash the protocol.");
+  bench::RunMetrics::Print();
   return 0;
 }

@@ -10,8 +10,6 @@
 //                      freeze for good.
 // Run on all three applications plus a fine-grain ping-pong microworkload
 // where caching is exactly the wrong thing to do.
-#include <benchmark/benchmark.h>
-
 #include <functional>
 #include <memory>
 
@@ -105,20 +103,9 @@ SimTime PingPongApp(kernel::Kernel& kernel) {
   return kernel.machine().scheduler().global_now() - start;
 }
 
-void BM_Policy(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["gauss_s"] =
-        sim::ToSeconds(RunWith(static_cast<int>(state.range(0)), GaussApp));
-  }
-}
-BENCHMARK(BM_Policy)->DenseRange(0, 4)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   std::printf("\n=== Ablation: replication policies (16 processors) ===\n");
   std::printf("%-20s %12s %12s %12s %14s\n", "policy", "gauss (s)", "sort (s)", "neural (s)",
               "ping-pong (ms)");

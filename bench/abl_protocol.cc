@@ -10,8 +10,6 @@
 // paper's Section 9 scalability argument predicts it: coarse-grain
 // workloads (gauss, sort) should be near-identical, while fine-grain
 // write sharing (neural) trades IPI storms for lease stalls.
-#include <benchmark/benchmark.h>
-
 #include <functional>
 
 #include "bench/bench_util.h"
@@ -69,20 +67,9 @@ SimTime NeuralApp(kernel::Kernel& kernel, int processors) {
   return RunNeuralPlatinum(kernel, config).train_ns;
 }
 
-void BM_Protocol(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["gauss_s"] = sim::ToSeconds(
-        RunWith(kProtocols[static_cast<size_t>(state.range(0))], 16, GaussApp));
-  }
-}
-BENCHMARK(BM_Protocol)->DenseRange(0, kNumProtocols - 1)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   std::printf("\n=== Ablation: directory vs. tardis at 16/32/64 nodes ===\n");
   const std::function<SimTime(kernel::Kernel&, int)> apps[] = {GaussApp, SortApp, NeuralApp};
   constexpr int kApps = 3;

@@ -8,8 +8,6 @@
 // nodes; the simulator is not so constrained. This bench runs the
 // applications on 16/32/64-node machines and measures the per-processor
 // shootdown cost at scale.
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_util.h"
 #include "src/apps/gauss.h"
 #include "src/apps/mergesort.h"
@@ -76,19 +74,9 @@ SimTime ShootdownAt(int replicas) {
   return duration;
 }
 
-void BM_GaussScale(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_s"] = sim::ToSeconds(GaussAt(static_cast<int>(state.range(0))));
-  }
-}
-BENCHMARK(BM_GaussScale)->Arg(16)->Arg(64)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   std::printf("\n=== Ablation: scaling past the 16-node testbed (Section 9) ===\n");
   bench::SweepRunner runner;
   // All sweep points of both experiments, sharded across host threads; every

@@ -5,8 +5,6 @@
 // two decades for Gaussian elimination (replication-friendly) and the
 // neural simulator (freeze-dominated), and also tries the thaw-on-access
 // policy variant, for which the paper saw no significant difference.
-#include <benchmark/benchmark.h>
-
 #include <memory>
 #include <vector>
 
@@ -50,20 +48,9 @@ SimTime RunNeural(SimTime t1, bool thaw_on_access) {
   return t;
 }
 
-void BM_GaussT1(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_s"] = sim::ToSeconds(
-        RunGauss(static_cast<SimTime>(state.range(0)) * kMillisecond, false));
-  }
-}
-BENCHMARK(BM_GaussT1)->Arg(10)->Arg(100)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   std::printf("\n=== Ablation: freeze window t1 (Section 4.2) ===\n");
   std::printf("%8s %18s %18s %22s\n", "t1 (ms)", "gauss 16p (s)", "neural 16p (s)",
               "gauss thaw-on-access");

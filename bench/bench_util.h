@@ -2,14 +2,14 @@
 //
 // Every bench binary regenerates one table or figure of the paper: it runs
 // the experiment on the simulated machine, prints the series the paper
-// reports (virtual-time measurements), and registers the runs with
-// google-benchmark so the harness also emits machine-readable output.
-// Workload sizes default to values that run in seconds; set PLATINUM_FULL=1
-// for paper-scale inputs.
+// reports (virtual-time measurements), and ends with one RunMetrics line
+// covering every machine it built. Workload sizes default to values that run
+// in seconds; set PLATINUM_FULL=1 for paper-scale inputs.
 //
 // Independent sweep points (each owning its own sim::Machine) are sharded
 // across host threads by SweepRunner; docs/PERFORMANCE.md describes the
-// harness and the BENCH_*.json pipeline built on top of it.
+// harness, the BENCH_*.json pipeline and the behaviour gate built on top of
+// it.
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
@@ -28,6 +28,7 @@
 #include "src/obs/json.h"
 #include "src/sim/machine.h"
 #include "src/sim/time.h"
+#include "src/uma/uma_machine.h"
 
 namespace platinum::bench {
 
@@ -66,7 +67,8 @@ class SweepRunner {
   // hardware concurrency; 1 runs the sweep serially on the calling thread.
   // HOST_ONLY: the worker count shapes host-side scheduling only — results
   // are keyed by point index, so sim output is identical for any count
-  // (enforced by tools/bench_sweep_check.sh).
+  // (enforced by tools/behaviour_gate.py, which checks every bench at 4
+  // workers against a golden file written at 1).
   PLATINUM_HOST_ONLY explicit SweepRunner(int workers = 0) : workers_(workers) {
     if (workers_ <= 0) {
       workers_ = EnvInt("PLATINUM_BENCH_WORKERS", 0);
@@ -117,31 +119,44 @@ class SweepRunner {
   int workers_ = 1;
 };
 
-// Aggregate host-throughput accounting for one bench binary: every finished
-// simulation reports its reference count and simulated duration before its
-// machine is destroyed, and main() prints one machine-parsable summary line
-// that tools/bench_report.py combines with host wall-clock into accesses/sec.
+// Aggregate accounting for one bench binary: every finished simulation
+// reports its reference count and simulated duration before its machine is
+// destroyed, and main() prints one machine-parsable summary line.
+// tools/bench_report.py combines it with host wall-clock into accesses/sec;
+// tools/behaviour_gate.py compares its exact integers with a golden file.
 // Counters are atomic (and order-independent sums) so SweepRunner workers can
 // report concurrently without perturbing the output.
 class RunMetrics {
  public:
   static void Count(const sim::Machine& machine) {
-    machines_.fetch_add(1, std::memory_order_relaxed);
-    references_.fetch_add(machine.stats().total_references(), std::memory_order_relaxed);
-    sim_ns_.fetch_add(static_cast<uint64_t>(machine.scheduler().global_now()),
-                      std::memory_order_relaxed);
+    Add(machine.stats().total_references(), machine.scheduler().global_now());
   }
 
+  // The Sequent model of Figure 5. UmaStats counts reads and writes; its
+  // bus-locked fetch-adds are not counted anywhere, so they are left out.
+  static void Count(uma::UmaMachine& machine) {
+    const uma::UmaStats& stats = machine.stats();
+    Add(stats.cache_hits + stats.read_misses + stats.writes, machine.scheduler().global_now());
+  }
+
+  // sim_ns is the exact sum; sim_seconds rounds it for the BENCH files.
   static void Print() {
+    const uint64_t sim_ns = sim_ns_.load(std::memory_order_relaxed);
     std::printf(
         "PLATINUM_BENCH_METRICS {\"machines\": %llu, \"references\": %llu, "
-        "\"sim_seconds\": %.3f}\n",
+        "\"sim_ns\": %llu, \"sim_seconds\": %.3f}\n",
         static_cast<unsigned long long>(machines_.load(std::memory_order_relaxed)),
         static_cast<unsigned long long>(references_.load(std::memory_order_relaxed)),
-        static_cast<double>(sim_ns_.load(std::memory_order_relaxed)) / 1e9);
+        static_cast<unsigned long long>(sim_ns), static_cast<double>(sim_ns) / 1e9);
   }
 
  private:
+  static void Add(uint64_t references, sim::SimTime sim_ns) {
+    machines_.fetch_add(1, std::memory_order_relaxed);
+    references_.fetch_add(references, std::memory_order_relaxed);
+    sim_ns_.fetch_add(sim_ns, std::memory_order_relaxed);
+  }
+
   static inline std::atomic<uint64_t> machines_{0};
   static inline std::atomic<uint64_t> references_{0};
   static inline std::atomic<uint64_t> sim_ns_{0};

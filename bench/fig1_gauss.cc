@@ -5,9 +5,9 @@
 // System implementation 10.6x, and the SMP message-passing implementation
 // 15.3x. This bench regenerates all three curves on the simulated machine.
 //
-// Default matrix size is 256 (seconds of host time); PLATINUM_FULL=1 runs
+// Default matrix size is 400 (seconds of host time); PLATINUM_FULL=1 runs
 // the paper's 800x800, and PLATINUM_GAUSS_N overrides explicitly.
-#include <benchmark/benchmark.h>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/apps/gauss.h"
@@ -34,51 +34,53 @@ apps::GaussConfig ConfigFor(int processors) {
 sim::SimTime RunPlatinum(int processors) {
   sim::Machine machine(sim::ButterflyPlusParams(16));
   kernel::Kernel kernel(&machine);
-  return RunGaussPlatinum(kernel, ConfigFor(processors)).elimination_ns;
+  sim::SimTime t = RunGaussPlatinum(kernel, ConfigFor(processors)).elimination_ns;
+  bench::RunMetrics::Count(machine);
+  return t;
 }
 
 sim::SimTime RunUniform(int processors) {
   sim::Machine machine(sim::ButterflyPlusParams(16));
-  return RunGaussUniformSystem(machine, ConfigFor(processors)).elimination_ns;
+  sim::SimTime t = RunGaussUniformSystem(machine, ConfigFor(processors)).elimination_ns;
+  bench::RunMetrics::Count(machine);
+  return t;
 }
 
 sim::SimTime RunSmp(int processors) {
   sim::Machine machine(sim::ButterflyPlusParams(16));
   kernel::Kernel kernel(&machine);
-  return RunGaussMessagePassing(kernel, ConfigFor(processors)).elimination_ns;
+  sim::SimTime t = RunGaussMessagePassing(kernel, ConfigFor(processors)).elimination_ns;
+  bench::RunMetrics::Count(machine);
+  return t;
 }
 
-void BM_GaussPlatinum(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_s"] = sim::ToSeconds(RunPlatinum(static_cast<int>(state.range(0))));
-  }
-}
-void BM_GaussUniformSystem(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_s"] = sim::ToSeconds(RunUniform(static_cast<int>(state.range(0))));
-  }
-}
-void BM_GaussMessagePassing(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_s"] = sim::ToSeconds(RunSmp(static_cast<int>(state.range(0))));
-  }
-}
-
-BENCHMARK(BM_GaussPlatinum)->Arg(1)->Arg(16)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GaussUniformSystem)->Arg(1)->Arg(16)->Iterations(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GaussMessagePassing)->Arg(1)->Arg(16)->Iterations(1)->Unit(benchmark::kMillisecond);
+constexpr int kProcCounts[] = {1, 2, 4, 8, 12, 16};
+constexpr int kNumProcCounts = 6;
+constexpr int kNumSystems = 3;
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
+  // Every (processor count, system) point is an independent machine.
+  bench::SweepRunner runner;
+  std::vector<sim::SimTime> times =
+      runner.Map(kNumProcCounts * kNumSystems, [](int i) -> sim::SimTime {
+        int p = kProcCounts[i / kNumSystems];
+        switch (i % kNumSystems) {
+          case 0:
+            return RunPlatinum(p);
+          case 1:
+            return RunUniform(p);
+          default:
+            return RunSmp(p);
+        }
+      });
   bench::SpeedupTable table(
       "Figure 1: Gaussian elimination (n=" + std::to_string(MatrixSize()) + ")",
       {"PLATINUM", "UniformSys", "SMP-msg"});
-  for (int p : {1, 2, 4, 8, 12, 16}) {
-    table.AddRow(p, {RunPlatinum(p), RunUniform(p), RunSmp(p)});
+  for (int row = 0; row < kNumProcCounts; ++row) {
+    auto first = times.begin() + row * kNumSystems;
+    table.AddRow(kProcCounts[row], std::vector<sim::SimTime>(first, first + kNumSystems));
   }
   table.Print();
   bench::MaybeWriteJson(table, "fig1_gauss");
@@ -86,5 +88,6 @@ int main(int argc, char** argv) {
       "16-processor speedups on the Butterfly Plus (800x800): PLATINUM 13.5, "
       "Uniform System 10.6, SMP message passing 15.3. Expected shape: "
       "SMP > PLATINUM > Uniform System, all near-linear at low processor counts.");
+  bench::RunMetrics::Print();
   return 0;
 }

@@ -8,8 +8,6 @@
 // the merging processor's local memory and each coherent page fault
 // prefetches a page of the linear scan, while the Sequent re-fetches
 // everything over the shared bus.
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_util.h"
 #include "src/apps/mergesort.h"
 #include "src/kernel/kernel.h"
@@ -35,36 +33,23 @@ apps::SortConfig ConfigFor(int processors) {
 sim::SimTime RunPlatinum(int processors) {
   sim::Machine machine(sim::ButterflyPlusParams(16));
   kernel::Kernel kernel(&machine);
-  return RunMergeSortPlatinum(kernel, ConfigFor(processors)).sort_ns;
+  sim::SimTime t = RunMergeSortPlatinum(kernel, ConfigFor(processors)).sort_ns;
+  bench::RunMetrics::Count(machine);
+  return t;
 }
 
 sim::SimTime RunSequent(int processors) {
   uma::UmaParams params;
   params.num_processors = 16;
   uma::UmaMachine machine(params);
-  return RunMergeSortUma(machine, ConfigFor(processors)).sort_ns;
+  sim::SimTime t = RunMergeSortUma(machine, ConfigFor(processors)).sort_ns;
+  bench::RunMetrics::Count(machine);
+  return t;
 }
-
-void BM_MergeSortPlatinum(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_s"] = sim::ToSeconds(RunPlatinum(static_cast<int>(state.range(0))));
-  }
-}
-void BM_MergeSortSequent(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_s"] = sim::ToSeconds(RunSequent(static_cast<int>(state.range(0))));
-  }
-}
-
-BENCHMARK(BM_MergeSortPlatinum)->Arg(1)->Arg(16)->Iterations(1);
-BENCHMARK(BM_MergeSortSequent)->Arg(1)->Arg(16)->Iterations(1);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   bench::SpeedupTable table(
       "Figure 5: merge sort (" + std::to_string(ElementCount()) + " elements)",
       {"PLATINUM", "Sequent-UMA"});
@@ -77,5 +62,6 @@ int main(int argc, char** argv) {
       "the program shows better speedup on the Butterfly Plus under PLATINUM "
       "than on the Sequent Symmetry for the same problem size and processor "
       "count (tree merge sort has modest maximum speedup by construction).");
+  bench::RunMetrics::Print();
   return 0;
 }

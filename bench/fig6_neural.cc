@@ -6,8 +6,6 @@
 // quickly gives up and freezes the shared data pages, so the curve is
 // roughly linear but each additional processor contributes only a fraction
 // of an all-local processor (the paper says about one half).
-#include <benchmark/benchmark.h>
-
 #include "bench/bench_util.h"
 #include "src/apps/neural.h"
 #include "src/kernel/kernel.h"
@@ -35,25 +33,13 @@ RunOutput Run(int processors) {
   kernel::Kernel kernel(&machine);
   apps::NeuralResult result = RunNeuralPlatinum(kernel, ConfigFor(processors));
   kernel::MemoryReport report = BuildMemoryReport(kernel);
+  bench::RunMetrics::Count(machine);
   return RunOutput{result.train_ns, report.pages_ever_frozen};
 }
 
-void BM_NeuralPlatinum(benchmark::State& state) {
-  for (auto _ : state) {
-    RunOutput out = Run(static_cast<int>(state.range(0)));
-    state.counters["sim_s"] = sim::ToSeconds(out.time);
-    state.counters["pages_frozen"] = out.pages_frozen;
-  }
-}
-
-BENCHMARK(BM_NeuralPlatinum)->Arg(1)->Arg(16)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   std::printf("\n=== Figure 6: recurrent backpropagation simulator ===\n");
   std::printf("%5s %12s %8s %14s %13s\n", "procs", "train (s)", "speedup", "incr. speedup",
               "pages frozen");
@@ -76,5 +62,6 @@ int main(int argc, char** argv) {
       "remote accesses limits the contribution of each incremental processor "
       "to about 1/2 that of a processor making only local references; the "
       "application's shared data pages are frozen in place.");
+  bench::RunMetrics::Print();
   return 0;
 }

@@ -9,8 +9,6 @@
 //   * replication policies — where the paper's replicate-vs-freeze decision
 //     earns its keep: read-mostly interior nodes want replication, hot
 //     leaves under write sharing must freeze instead of thrash.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -32,21 +30,9 @@ constexpr int kNumProtocols = 2;
 const char* kPolicies[] = {"timestamp", "always", "never", "migrate-then-freeze"};
 constexpr int kNumPolicies = 4;
 
-void BM_TrieServe(benchmark::State& state) {
-  for (auto _ : state) {
-    bench::TrieCell cell;
-    cell.procs = 16;
-    state.counters["serve_s"] = sim::ToSeconds(RunTrieCell(cell));
-  }
-}
-BENCHMARK(BM_TrieServe)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   std::printf("\n=== Serving trie at 16/32/64 nodes ===\n");
   // One flat grid so every cell shards across SweepRunner workers: first the
   // protocol comparison (timestamp policy), then the policy sweep (directory

@@ -13,8 +13,6 @@
 //     Mach shootdown on an Encore Multimax.
 // Every number here is measured by running the real fault-handler code on
 // the simulated machine, not computed from the constants.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <functional>
 #include <vector>
@@ -51,6 +49,7 @@ SimTime Measure(const std::function<SimTime(kernel::Kernel&, vm::AddressSpace*,
   SimTime result = 0;
   kernel.SpawnThread(space, 0, "driver", [&] { result = scenario(kernel, space, zone); });
   kernel.Run();
+  bench::RunMetrics::Count(machine);
   return result;
 }
 
@@ -111,6 +110,7 @@ SimTime ReadMissModified() {
     duration = kernel.Now() - t0;
   });
   kernel.Run();
+  bench::RunMetrics::Count(machine);
   return duration;
 }
 
@@ -139,43 +139,13 @@ SimTime WriteMissPresentPlus(int replicas) {
     });
   }
   kernel.Run();
+  bench::RunMetrics::Count(machine);
   return duration;
 }
 
-void BM_PageCopy(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_ms"] = sim::ToMilliseconds(PageCopy());
-  }
-}
-void BM_ReadMissNonModified(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_ms"] =
-        sim::ToMilliseconds(ReadMissNonModified(static_cast<int>(state.range(0))));
-  }
-}
-void BM_ReadMissModified(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_ms"] = sim::ToMilliseconds(ReadMissModified());
-  }
-}
-void BM_WriteMissPresentPlus(benchmark::State& state) {
-  for (auto _ : state) {
-    state.counters["sim_ms"] =
-        sim::ToMilliseconds(WriteMissPresentPlus(static_cast<int>(state.range(0))));
-  }
-}
-
-BENCHMARK(BM_PageCopy)->Iterations(1);
-BENCHMARK(BM_ReadMissNonModified)->Arg(1)->Arg(5)->Iterations(1);
-BENCHMARK(BM_ReadMissModified)->Iterations(1);
-BENCHMARK(BM_WriteMissPresentPlus)->DenseRange(1, 15, 7)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   std::printf("\n=== Section 4: basic operation costs ===\n");
   g_rows.push_back({"page copy (block transfer)", sim::ToMilliseconds(PageCopy()), "1.11 ms"});
   g_rows.push_back({"read miss, non-modified page, local Cpage structures",
@@ -204,5 +174,6 @@ int main(int argc, char** argv) {
       "incremental delay per additional interrupted processor is no more than "
       "17 us (about 7 us interrupt + 10 us page free); Mach's shootdown costs "
       "55 us per processor on a 16-processor Encore Multimax.");
+  bench::RunMetrics::Print();
   return 0;
 }

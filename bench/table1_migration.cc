@@ -12,8 +12,6 @@
 // section workload of Section 4.1 on machines with different page sizes,
 // under an always-migrate policy and a never-migrate (remote-access) policy,
 // and reports which wins.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -83,7 +81,7 @@ SimTime RunWorkload(uint32_t page_bytes, double rho, int consecutive, bool migra
     page.Set(static_cast<uint32_t>(salt) % s_words, static_cast<uint32_t>(salt));
     for (uint32_t i = 1; i < r; ++i) {
       uint32_t index = (i * 2654435761u + static_cast<uint32_t>(salt)) % s_words;
-      benchmark::DoNotOptimize(page.Get(index));
+      page.Get(index);
     }
   };
 
@@ -110,6 +108,7 @@ SimTime RunWorkload(uint32_t page_bytes, double rho, int consecutive, bool migra
     }
   });
   kernel.Run();
+  bench::RunMetrics::Count(machine);
   return elapsed;
 }
 
@@ -140,7 +139,7 @@ SimTime RunWorkloadRpc(uint32_t page_bytes, double rho, int consecutive, int rou
       auto r = static_cast<uint32_t>(rho * static_cast<double>(s_words));
       page.Set(salt % s_words, salt);
       for (uint32_t i = 1; i < r; ++i) {
-        benchmark::DoNotOptimize(page.Get((i * 2654435761u + salt) % s_words));
+        page.Get((i * 2654435761u + salt) % s_words);
       }
       std::vector<uint32_t> reply{1};
       kernel.Send(reply_port, reply);
@@ -177,17 +176,9 @@ SimTime RunWorkloadRpc(uint32_t page_bytes, double rho, int consecutive, int rou
   kernel.SpawnThread(space, 0, "A", [&] { client(port_a, port_b, true); });
   kernel.SpawnThread(space, 1, "B", [&] { client(port_b, port_a, false); });
   kernel.Run();
+  bench::RunMetrics::Count(machine);
   return elapsed;
 }
-
-void BM_Workload(benchmark::State& state) {
-  bool migrate = state.range(0) != 0;
-  for (auto _ : state) {
-    state.counters["sim_ms"] =
-        sim::ToMilliseconds(RunWorkload(4096, /*rho=*/1.0, /*consecutive=*/2, migrate));
-  }
-}
-BENCHMARK(BM_Workload)->Arg(0)->Arg(1)->Iterations(1);
 
 struct PaperCell {
   double rho;
@@ -214,10 +205,7 @@ void PrintCell(double smin) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-
+int main() {
   sim::MachineParams params = sim::ButterflyPlusParams(4);
   std::printf("\n=== Table 1: minimum page size S_min (words) for migration to pay ===\n");
   std::printf("(ours = from the simulator's constants; paper values in parentheses)\n");
@@ -265,5 +253,6 @@ int main(int argc, char** argv) {
       "call, as Emerald would): its cost is a constant per operation, so it "
       "wins over migration for very large pages and loses to everything for "
       "small, dense ones.");
+  bench::RunMetrics::Print();
   return 0;
 }

@@ -5,7 +5,6 @@
 // replication decision — the mechanism that lets the memory system react to
 // program phase changes and recover from accidentally frozen pages.
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "src/base/check.h"
@@ -78,22 +77,20 @@ size_t CoherentMemory::ThawExpired(sim::SimTime min_age) {
 }
 
 size_t CoherentMemory::ThawAllFrozen() {
-  // Thaw the current batch; pages refrozen by faults racing this pass go on a
-  // fresh list for the next period.
+  // Thaw the pages frozen when the pass starts. Each stays on the list until
+  // Thaw's Unfreeze removes it, so the list matches the frozen flags at every
+  // transition hook. Thaw blocks on shootdowns and faults run meanwhile: a
+  // page a fault freezes is appended to the list and waits for the next
+  // period (unless it is a batch page the pass has not reached yet), and a
+  // batch page a fault thaws leaves the list then and is skipped here.
   frozen_lock_.Acquire();
-  std::vector<uint32_t> batch = std::move(frozen_list_);
-  frozen_list_.clear();
+  std::vector<uint32_t> batch = frozen_list_;
   frozen_lock_.Release();
   size_t thawed = 0;
   for (uint32_t id : batch) {
-    Cpage& page = cpages_.at(id);
-    if (!page.frozen()) {
-      continue;  // thawed by an access since it was listed
+    if (!cpages_.at(id).frozen()) {
+      continue;
     }
-    // Unfreeze expects the page on the list; temporarily restore it.
-    frozen_lock_.Acquire();
-    frozen_list_.push_back(id);
-    frozen_lock_.Release();
     Thaw(id);
     ++thawed;
   }

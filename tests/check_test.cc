@@ -174,6 +174,26 @@ TEST(InvariantOracleTest, DetachesOnDestruction) {
   RunInThread(sys.kernel, space, 1, [&] { EXPECT_EQ(shared.Get(0), 1u); });
 }
 
+// One defrost pass that thaws several pages: every "thaw" transition the
+// oracle checks must see the pages still frozen on the defrost list.
+TEST(InvariantOracleTest, DefrostPassThawsSeveralPages) {
+  TestSystem sys(4);
+  check::InvariantOracle oracle(&sys.kernel.memory());
+  auto* space = sys.kernel.CreateAddressSpace("defrost");
+  rt::ZoneAllocator zone(&sys.kernel, space);
+  const uint32_t page_words = sys.kernel.page_size() / 4;
+  auto pages = rt::SharedArray<uint32_t>::Create(zone, "defrost-pages", 3 * page_words);
+  for (uint32_t i = 0; i < 3; ++i) {
+    sys.kernel.PinMemory(space, pages.va(i * page_words), static_cast<int>(i));  // freezes
+  }
+  mem::CoherentMemory& memory = sys.kernel.memory();
+  ASSERT_EQ(memory.frozen_count(), 3u);
+
+  EXPECT_EQ(memory.ThawAllFrozen(), 3u);
+  EXPECT_EQ(memory.frozen_count(), 0u);
+  oracle.CheckNow();
+}
+
 TEST(InvariantOracleDeathTest, CatchesStateDirectoryMismatch) {
   TestSystem sys(2);
   auto* space = sys.kernel.CreateAddressSpace("corrupt");

@@ -88,7 +88,7 @@ TEST(ProtocolDifferentialTest, NeuralLearnsUnderBothProtocols) {
 
 // The same run repeated under the same protocol must be bit-identical —
 // the fiber-serialized simulation has no protocol-dependent nondeterminism
-// to hide behind (tools/determinism_check.sh covers the platsim surface).
+// to hide behind (tools/behaviour_gate.py covers the platsim surface).
 TEST(ProtocolDifferentialTest, TardisRunsAreReproducible) {
   apps::SortConfig config;
   config.count = 1 << 12;

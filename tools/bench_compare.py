@@ -12,18 +12,20 @@ The gate enforces two properties, mirroring docs/PERFORMANCE.md:
     bench that reports it in both files) must be at least
     baseline * (1 - max_regression). Host throughput is noisy, so the
     threshold is a fraction, not equality.
-  * simulated time: sim_seconds must match EXACTLY (totals and per-bench).
-    The simulator is deterministic; any sim_seconds drift means simulated
-    behavior changed, which is a different bug than a slow host.
+  * simulated behaviour: sim_seconds and references must match EXACTLY
+    (totals and per-bench). The simulator is deterministic; any drift means
+    simulated behavior changed, which is a different bug than a slow host.
 
 A degenerate comparison is a failure, not a silent pass: a bench present in
 only one report, a metric reported on only one side of a shared bench, or a
 non-positive accesses_per_sec all fail the gate — each of those means the
 reports do not actually cover each other. The one sanctioned asymmetry is
---allow-new: benches named there may appear only in the candidate (a PR that
-adds a bench still gates every pre-existing bench), and their contribution is
-subtracted from the candidate's totals before the totals are compared, so the
-exact-sim-seconds property keeps holding over the shared bench set.
+--allow-new: a bench named there may appear only in the candidate (a PR that
+adds a bench still gates every pre-existing bench), or may appear in the
+baseline without numbers (a PR that starts metering it). Such a bench is not
+compared, and its contribution is subtracted from both sides' totals before
+the totals are compared, so the exact properties keep holding over the
+benches both reports meter.
 
 The two reports must describe the same configuration (host.small/host.full);
 comparing a small run against a full run is a usage error (exit 2), as are
@@ -110,34 +112,35 @@ def compare(base, cand, max_regression, allow_new=frozenset()):
                 f"({c / b - 1.0:+.1%}, allowed {-max_regression:.0%})"
             )
 
-    def check_sim(label, b, c):
+    def check_exact(label, b, c, key):
         if b != c:
-            failures.append(f"{label}: sim_seconds changed {b!r} -> {c!r} (must match exactly)")
+            failures.append(f"{label}: {key} changed {b!r} -> {c!r} (must match exactly)")
 
     def check_pair(label, b, c):
-        for key, check in (("accesses_per_sec", check_throughput),
-                           ("sim_seconds", check_sim)):
+        for key in ("accesses_per_sec", "sim_seconds", "references"):
             if (key in b) != (key in c):
                 side = "baseline" if key in b else "candidate"
                 failures.append(f"{label}: {key} reported only by the {side}")
+            elif key == "accesses_per_sec" and key in b:
+                check_throughput(label, b[key], c[key])
             elif key in b:
-                check(label, b[key], c[key])
+                check_exact(label, b[key], c[key], key)
 
-    base_names = set(base.get("benches", {}))
+    base_benches = base.get("benches", {})
+    base_names = set(base_benches)
     cand_names = set(cand.get("benches", {}))
-    # Only genuinely-new benches are carved out of the candidate's totals; an
-    # --allow-new name that exists in both reports is compared normally.
-    check_pair("totals", base.get("totals", {}),
-               totals_without(cand, set(allow_new) & (cand_names - base_names)))
+    # An --allow-new name is excused only if it is new or the baseline ran it
+    # without numbers; a bench metered in both reports is compared normally.
+    unmetered = {n for n in base_names & cand_names if "sim_seconds" not in base_benches[n]}
+    excused = set(allow_new) & ((cand_names - base_names) | unmetered)
+    check_pair("totals", totals_without(base, excused), totals_without(cand, excused))
 
     for name in sorted(base_names - cand_names):
         failures.append(f"{name}: present only in the baseline (bench disappeared)")
-    for name in sorted(cand_names - base_names):
-        if name in allow_new:
-            continue
+    for name in sorted(cand_names - base_names - excused):
         failures.append(f"{name}: present only in the candidate (no baseline to compare)")
-    for name in sorted(base_names & cand_names):
-        check_pair(name, base["benches"][name], cand["benches"][name])
+    for name in sorted((base_names & cand_names) - excused):
+        check_pair(name, base_benches[name], cand["benches"][name])
     return failures
 
 
@@ -237,6 +240,34 @@ def selftest():
     if not any("only in the candidate" in f
                for f in compare(base, grown, DEFAULT_MAX_REGRESSION)):
         print("selftest FAILED: unsanctioned new bench accepted")
+        return 1
+
+    # --allow-new also excuses a bench the baseline ran without numbers: its
+    # host time leaves the baseline's totals, its numbers the candidate's.
+    metered = copy.deepcopy(base)
+    metered["benches"]["lat_faults"] = {
+        "host_seconds": 0.5,
+        "accesses_per_sec": 2.0e6,
+        "sim_seconds": 1.0,
+        "references": 1_000_000,
+    }
+    base["totals"]["host_seconds"] += 0.5
+    base["totals"]["accesses_per_sec"] = round(12_000_000 / 3.5)
+    metered["totals"] = {
+        "host_seconds": 3.5,
+        "references": 13_000_000,
+        "sim_seconds": round(base["totals"]["sim_seconds"] + 1.0, 3),
+        "accesses_per_sec": round(13_000_000 / 3.5),
+    }
+    if compare(base, metered, DEFAULT_MAX_REGRESSION, allow_new={"lat_faults"}):
+        print(
+            f"selftest FAILED: newly metered bench rejected "
+            f"({compare(base, metered, DEFAULT_MAX_REGRESSION, allow_new={'lat_faults'})})"
+        )
+        return 1
+    if not any("reported only by the candidate" in f
+               for f in compare(base, metered, DEFAULT_MAX_REGRESSION)):
+        print("selftest FAILED: unsanctioned newly metered bench accepted")
         return 1
     del base["totals"]["references"]
     del base["totals"]["host_seconds"]

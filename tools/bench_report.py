@@ -2,18 +2,20 @@
 """Run the bench suite and emit a BENCH_<tag>.json perf baseline.
 
 Every bench binary prints a PLATINUM_BENCH_METRICS line (bench/bench_util.h:
-RunMetrics) summing simulated references and simulated seconds across all the
+RunMetrics) summing simulated references and simulated time across all the
 machines it built; this script adds host wall-clock per binary and derives
 accesses/sec — the host-throughput figure the fast path (docs/PERFORMANCE.md)
 is meant to move. Tables written via PLATINUM_JSON_DIR are embedded so the
-simulated-time series travel with the baseline.
+simulated-time series travel with the baseline. tools/behaviour_gate.py
+reuses BENCHES, SMALL_ENV and run_bench.
 
 Usage:
-  tools/bench_report.py --build-dir build --out BENCH_PR15.json [--small]
+  tools/bench_report.py --build-dir build --out BENCH_PR16.json [--small]
 
-`--small` shrinks the workloads to CI size (same knobs as the ctest smoke
-tests); without it the default run-in-seconds sizes are used. PLATINUM_FULL
-and PLATINUM_BENCH_WORKERS are inherited from the caller's environment.
+`--small` shrinks the workloads to smoke size (SMALL_ENV, the sizes the
+behaviour gate runs); without it the default run-in-seconds sizes are used.
+PLATINUM_FULL and PLATINUM_BENCH_WORKERS are inherited from the caller's
+environment.
 """
 
 import argparse
@@ -55,46 +57,44 @@ SMALL_ENV = {
 METRICS_RE = re.compile(r"^PLATINUM_BENCH_METRICS (\{.*\})$", re.MULTILINE)
 
 
-def run_bench(binary, json_dir, env):
+def run_bench(binary, workdir, env):
+    """Runs one bench binary inside `workdir` with PLATINUM_JSON_DIR=".".
+
+    Its tables land in `workdir` and its stdout names them by relative path,
+    so the output does not depend on where it ran. Returns (stdout bytes,
+    metrics, tables, host seconds); tables maps each table's name to the
+    bytes the bench wrote.
+    """
     start = time.monotonic()
     proc = subprocess.run(
-        [binary, "--benchmark_filter=NONE"],
-        env=env,
+        [os.path.abspath(binary)],
+        cwd=workdir,
+        env=dict(env, PLATINUM_JSON_DIR="."),
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
-        text=True,
     )
     host_seconds = time.monotonic() - start
+    text = proc.stdout.decode(errors="replace")
     if proc.returncode != 0:
-        sys.stderr.write(proc.stdout)
+        sys.stderr.write(text)
         raise SystemExit(f"{binary} exited with {proc.returncode}")
-
-    entry = {"host_seconds": round(host_seconds, 3)}
-    matches = METRICS_RE.findall(proc.stdout)
-    if matches:
-        metrics = json.loads(matches[-1])
-        entry.update(metrics)
-        if host_seconds > 0:
-            entry["accesses_per_sec"] = round(metrics["references"] / host_seconds)
+    matches = METRICS_RE.findall(text)
+    if not matches:
+        raise SystemExit(f"{binary} printed no PLATINUM_BENCH_METRICS line")
     tables = {}
-    for name in sorted(os.listdir(json_dir)):
-        if not name.endswith(".json"):
-            continue
-        path = os.path.join(json_dir, name)
-        with open(path) as f:
-            tables[name[: -len(".json")]] = json.load(f)
-        os.unlink(path)
-    if tables:
-        entry["tables"] = tables
-    return entry
+    for name in sorted(os.listdir(workdir)):
+        if name.endswith(".json"):
+            with open(os.path.join(workdir, name), "rb") as f:
+                tables[name[: -len(".json")]] = f.read()
+    return proc.stdout, json.loads(matches[-1]), tables, host_seconds
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--build-dir", default="build")
-    parser.add_argument("--out", default="BENCH_PR15.json")
-    parser.add_argument("--tag", default="PR15")
-    parser.add_argument("--small", action="store_true", help="CI-size workloads")
+    parser.add_argument("--out", default="BENCH_PR16.json")
+    parser.add_argument("--tag", default="PR16")
+    parser.add_argument("--small", action="store_true", help="smoke-size workloads")
     parser.add_argument("--benches", nargs="*", default=BENCHES)
     args = parser.parse_args()
 
@@ -119,18 +119,24 @@ def main():
     total_host = 0.0
     total_refs = 0
     total_sim = 0.0
-    with tempfile.TemporaryDirectory() as json_dir:
-        env["PLATINUM_JSON_DIR"] = json_dir
+    with tempfile.TemporaryDirectory() as tmp:
         for name in args.benches:
             binary = os.path.join(args.build_dir, "bench", name)
             if not os.path.exists(binary):
                 raise SystemExit(f"bench binary not found: {binary} (build it first)")
             print(f"bench_report: running {name} ...", flush=True)
-            entry = run_bench(binary, json_dir, env)
+            workdir = os.path.join(tmp, name)
+            os.mkdir(workdir)
+            _, metrics, tables, host_seconds = run_bench(binary, workdir, env)
+            entry = {"host_seconds": round(host_seconds, 3), **metrics}
+            if host_seconds > 0:
+                entry["accesses_per_sec"] = round(metrics["references"] / host_seconds)
+            if tables:
+                entry["tables"] = {k: json.loads(v) for k, v in tables.items()}
             report["benches"][name] = entry
             total_host += entry["host_seconds"]
-            total_refs += entry.get("references", 0)
-            total_sim += entry.get("sim_seconds", 0.0)
+            total_refs += entry["references"]
+            total_sim += entry["sim_seconds"]
 
     report["totals"] = {
         "host_seconds": round(total_host, 3),

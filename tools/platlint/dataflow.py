@@ -51,8 +51,9 @@ Sanctioned escapes (src/base/thread_annotations.h):
 
 Like the rest of the textual model this is conservative per direction:
 member fields are not tracked across functions (a host value laundered
-through an object member is caught by the dynamic determinism_check.sh
-gate, not here), while unresolvable calls fall back to name matching.
+through an object member is caught by the dynamic behaviour gate,
+tools/behaviour_gate.py, not here), while unresolvable calls fall back to
+name matching.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ _CALLED_NAME_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 # a tainted argument to any of them is a determinism violation.
 SINK_DIRS = ("src/sim/", "src/mem/", "src/kernel/", "src/apps/")
 # Emission-layer classes outside those directories (trace/stats/JSON output
-# is part of the byte-identity contract checked by determinism_check.sh).
+# is part of the byte-identity contract checked by tools/behaviour_gate.py).
 SINK_CLASSES = {
     "JsonWriter", "TraceLog", "Histogram", "MachineStats", "StatsJson",
     "TraceJson", "PageTrace", "EpochSampler",

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import dataflow
 from cpp_model import RepoModel, _match_paren, calls_of, locals_of
 
-# Directories making up the deterministic simulation core (the historical
-# lint_nondeterminism scope).
+# Directories making up the deterministic simulation core (the scope of the
+# wall-clock, randomness and unordered-container rules).
 DETERMINISM_DIRS = ("src/sim/", "src/mem/", "src/kernel/", "src/apps/")
 
 _ALLOW_RE = re.compile(r"platlint:\s*allow\(([\w,\- ]+)\)")
