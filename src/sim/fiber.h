@@ -36,7 +36,8 @@ class Scheduler;
 inline constexpr size_t kFiberStackBytes = 256 * 1024;
 
 // Where a switch leaves and later resumes execution: a fiber, or the host
-// thread that runs the scheduler's dispatch loop.
+// thread inside Scheduler::Run(), which fibers switch back to once none is
+// left to run.
 struct FiberContext {
 #if defined(__x86_64__)
   // The suspended stack; the saved registers sit on it.

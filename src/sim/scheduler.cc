@@ -43,6 +43,31 @@ void Scheduler::MakeReady(Fiber* fiber) {
   ready_.push(ReadyEntry{fiber->clock_, next_seq_++, fiber});
 }
 
+Fiber* Scheduler::PickNext() {
+  if (live_non_daemon_ == 0) {
+    return nullptr;
+  }
+  PLAT_CHECK(!ready_.empty()) << "deadlock: " << live_non_daemon_
+                              << " non-daemon fibers alive but none runnable";
+  Fiber* fiber = ready_.top().fiber;
+  ready_.pop();
+  PLAT_CHECK(fiber->state_ == Fiber::State::kReady);
+
+  // Serialize fibers sharing a processor, and deliver any pending interrupt
+  // handling cost to whoever occupies the node next.
+  int processor = fiber->processor_;
+  SimTime start = std::max(fiber->clock_, processor_available_[processor]);
+  start += pending_interrupt_cost_[processor];
+  pending_interrupt_cost_[processor] = 0;
+
+  fiber->clock_ = start;
+  fiber->resumed_at_ = start;
+  fiber->state_ = Fiber::State::kRunning;
+  BumpGlobalNow(start);
+  ++switches_;
+  return fiber;
+}
+
 void Scheduler::Run() {
   PLAT_CHECK(!running_) << "Run() is not reentrant";
   PLAT_CHECK(current_ == nullptr);
@@ -50,29 +75,11 @@ void Scheduler::Run() {
   Scheduler* previous_active = active_;
   active_ = this;
 
-  while (live_non_daemon_ > 0) {
-    PLAT_CHECK(!ready_.empty()) << "deadlock: " << live_non_daemon_
-                                << " non-daemon fibers alive but none runnable";
-    ReadyEntry entry = ready_.top();
-    ready_.pop();
-    Fiber* fiber = entry.fiber;
-    PLAT_CHECK(fiber->state_ == Fiber::State::kReady);
-
-    // Serialize fibers sharing a processor, and deliver any pending interrupt
-    // handling cost to whoever occupies the node next.
-    int processor = fiber->processor_;
-    SimTime start = std::max(fiber->clock_, processor_available_[processor]);
-    start += pending_interrupt_cost_[processor];
-    pending_interrupt_cost_[processor] = 0;
-
-    fiber->clock_ = start;
-    fiber->resumed_at_ = start;
-    fiber->state_ = Fiber::State::kRunning;
-    BumpGlobalNow(start);
-    current_ = fiber;
-    ++switches_;
-    SwitchContext(main_context_, fiber->context_);
-    current_ = nullptr;
+  // Start the first fiber; from then on the fibers hand the host thread to
+  // each other, and the last one hands it back here.
+  current_ = PickNext();
+  if (current_ != nullptr) {
+    SwitchContext(main_context_, current_->context_);
   }
 
   active_ = previous_active;
@@ -102,11 +109,7 @@ void Scheduler::FinishCurrent() {
     Wake(joiner, self->clock_);
   }
   self->joiners_.clear();
-  processor_available_[self->processor_] =
-      std::max(processor_available_[self->processor_], self->clock_);
-  BumpGlobalNow(self->clock_);
-  // Return to the dispatch loop for good.
-  SwitchContext(self->context_, main_context_, /*from_exits=*/true);
+  HandOff(self->processor_, self->clock_, /*exits=*/true);
 }
 
 void Scheduler::AdvanceTo(SimTime t) {
@@ -120,7 +123,7 @@ void Scheduler::Yield() {
   Fiber* self = current_;
   PLAT_CHECK(self != nullptr);
   MakeReady(self);
-  SwitchOut(/*release_processor_at=*/self->clock_);
+  HandOff(self->processor_, self->clock_);
 }
 
 void Scheduler::Sleep(SimTime duration) {
@@ -130,14 +133,14 @@ void Scheduler::Sleep(SimTime duration) {
   SimTime release = self->clock_;
   self->clock_ += duration;
   MakeReady(self);
-  SwitchOut(release);
+  HandOff(self->processor_, release);
 }
 
 void Scheduler::Block() {
   Fiber* self = current_;
   PLAT_CHECK(self != nullptr);
   self->state_ = Fiber::State::kBlocked;
-  SwitchOut(/*release_processor_at=*/self->clock_);
+  HandOff(self->processor_, self->clock_);
   PLAT_CHECK(self->state_ == Fiber::State::kRunning);
 }
 
@@ -169,11 +172,12 @@ void Scheduler::MigrateCurrent(int new_processor) {
   if (new_processor == self->processor_) {
     return;
   }
-  processor_available_[self->processor_] =
-      std::max(processor_available_[self->processor_], self->clock_);
+  // Leave the old node and re-enter the run queue. The new node is not held
+  // meanwhile: the arrival serializes against it when it is dispatched there.
+  int old_processor = self->processor_;
   self->processor_ = new_processor;
-  // Re-enter the run queue so the arrival serializes against the new node.
-  Yield();
+  MakeReady(self);
+  HandOff(old_processor, self->clock_);
 }
 
 void Scheduler::AddInterruptCost(int processor, SimTime cost) {
@@ -182,14 +186,19 @@ void Scheduler::AddInterruptCost(int processor, SimTime cost) {
   pending_interrupt_cost_[processor] += cost;
 }
 
-void Scheduler::SwitchOut(SimTime release_processor_at) {
+void Scheduler::HandOff(int release_processor, SimTime release_at, bool exits) {
   Fiber* self = current_;
-  processor_available_[self->processor_] =
-      std::max(processor_available_[self->processor_], release_processor_at);
+  processor_available_[release_processor] =
+      std::max(processor_available_[release_processor], release_at);
   // Record only time actually executed: a sleeping fiber's clock already
   // points at its future wake-up and must not drag global_now forward.
-  BumpGlobalNow(release_processor_at);
-  SwitchContext(self->context_, main_context_);
+  BumpGlobalNow(release_at);
+  Fiber* next = PickNext();
+  if (next == self) {
+    return;  // still first in line: keep running, no switch
+  }
+  current_ = next;
+  SwitchContext(self->context_, (next != nullptr) ? next->context_ : main_context_, exits);
 }
 
 void Scheduler::BumpGlobalNow(SimTime t) {

@@ -5,6 +5,11 @@
 // quantum. Fibers bound to the same simulated processor are serialized: a
 // fiber cannot start running on processor P before the previous occupant of P
 // released it, which models kernel threads timesharing a node.
+//
+// Run() starts the first fiber. After that, a fiber that yields, sleeps,
+// blocks or finishes picks the next fiber itself and switches straight to
+// it, one switch per dispatch; the last one hands the host thread back to
+// Run().
 #ifndef SRC_SIM_SCHEDULER_H_
 #define SRC_SIM_SCHEDULER_H_
 
@@ -23,11 +28,14 @@
 namespace platinum::sim {
 
 // Passive observer of the global virtual-time high-water mark. Fired from
-// inside the dispatch loop and switch points whenever global_now() actually
-// moves forward, so a consumer (the obs-layer epoch sampler) can close
+// the switch points and dispatch whenever global_now() actually moves
+// forward, so a consumer (the obs-layer epoch sampler) can close
 // simulated-time epochs without owning a fiber — observing never perturbs
-// the schedule. Callbacks must not yield and must not call back into the
-// scheduler's switching primitives.
+// the schedule. Callbacks run on the stack of the fiber that is switching
+// out (kFiberStackBytes, with a guard page; only Run()'s first dispatch runs
+// them on its caller's stack), so they must fit in a fiber stack. They must
+// not yield and must not call back into the scheduler's switching
+// primitives.
 class TimeObserver {
  public:
   virtual ~TimeObserver() = default;
@@ -53,7 +61,8 @@ class Scheduler {
       PLATINUM_NO_YIELD;
 
   // Runs until every non-daemon fiber has finished. Aborts on deadlock
-  // (non-daemon fibers alive but nothing runnable).
+  // (non-daemon fibers alive but nothing runnable). Daemon fibers still alive
+  // stay suspended, and a later Run() resumes them.
   void Run() PLATINUM_MAY_YIELD;
 
   // --- Introspection ---------------------------------------------------------
@@ -139,13 +148,21 @@ class Scheduler {
   // Raises global_now_ to at least `t`, notifying the time observer on any
   // actual increase. The only writer of global_now_.
   void BumpGlobalNow(SimTime t) PLATINUM_NO_YIELD;
-  // Suspends the current fiber (which must already have updated its state) and
-  // returns to the dispatch loop. `release_processor_at` is when the fiber
-  // stops occupying its processor. The primitive switch point.
-  void SwitchOut(SimTime release_processor_at) PLATINUM_MAY_YIELD;
+  // Dispatches the runnable fiber with the smallest (clock, spawn order):
+  // starts its clock once its processor is free and pending interrupt cost
+  // is paid, and counts the dispatch. Returns null once no non-daemon fiber
+  // is left. Aborts on deadlock.
+  Fiber* PickNext() PLATINUM_NO_YIELD;
+  // The primitive switch point. The current fiber, which must already have
+  // updated its state, releases `release_processor` at `release_at`; then
+  // the next fiber runs. That is the caller itself (no switch), another
+  // fiber (switched to directly) or, when none is left, the context that
+  // called Run(). `exits` marks the final switch of a finished fiber.
+  void HandOff(int release_processor, SimTime release_at, bool exits = false)
+      PLATINUM_MAY_YIELD;
   static void Trampoline();
   void RunFiberBody();
-  void FinishCurrent();
+  void FinishCurrent() PLATINUM_MAY_YIELD;
 
   const SimTime quantum_;
 
@@ -155,7 +172,7 @@ class Scheduler {
   std::vector<SimTime> pending_interrupt_cost_;
 
   Fiber* current_ = nullptr;
-  // The host thread's context while a fiber runs.
+  // The context that called Run(), suspended while fibers run.
   FiberContext main_context_;
   SimTime global_now_ = 0;
   TimeObserver* time_observer_ = nullptr;
@@ -164,7 +181,7 @@ class Scheduler {
   uint64_t switches_ = 0;
   bool running_ = false;
 
-  // The scheduler whose Run() loop owns the calling host thread. thread_local
+  // The scheduler whose Run() owns the calling host thread. thread_local
   // so independent machines can be simulated concurrently on different host
   // threads (bench::SweepRunner); fibers never migrate across host threads.
   static thread_local Scheduler* active_;

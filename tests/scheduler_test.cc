@@ -82,6 +82,9 @@ TEST(SchedulerTest, InterleavesByVirtualTime) {
   // which the scheduler prefers B until B's clock passes A's: the recorded
   // order is A, B, B, B, A, A.
   EXPECT_EQ(order, (std::vector<int>{1, 2, 2, 2, 1, 1}));
+  // Each fiber's first dispatch plus one per yield, whether the yielder is
+  // picked again or the other fiber runs.
+  EXPECT_EQ(sched.context_switches(), 8u);
 }
 
 TEST(SchedulerTest, MaybeYieldHonorsQuantum) {
@@ -210,6 +213,111 @@ TEST(SchedulerTest, MigrateCurrentMovesProcessor) {
     EXPECT_GE(sched.now(), 200 * kMicrosecond);
   });
   sched.Run();
+}
+
+// A migrant leaves its old node at once but occupies the new one only from
+// its dispatch there: a fiber bound to the destination that wakes first is
+// not held back.
+TEST(SchedulerTest, MigrantDoesNotHoldDestinationBeforeArrival) {
+  Scheduler sched(2, kQuantum);
+  SimTime woke_at = 0;
+  SimTime arrived_at = 0;
+  sched.Spawn(1, "sleeper", [&] {
+    sched.Sleep(10 * kMicrosecond);
+    woke_at = sched.now();
+  });
+  sched.Spawn(0, "migrant", [&] {
+    sched.Advance(100 * kMicrosecond);
+    sched.MigrateCurrent(1);
+    arrived_at = sched.now();
+  });
+  sched.Run();
+  EXPECT_EQ(woke_at, 10 * kMicrosecond);
+  EXPECT_EQ(arrived_at, 100 * kMicrosecond);
+}
+
+// Run() returns while the daemon is suspended in a sleep; the next Run()
+// resumes it where it stopped.
+TEST(SchedulerTest, SecondRunResumesSuspendedDaemon) {
+  Scheduler sched(1, kQuantum);
+  std::vector<SimTime> ticks;
+  sched.Spawn(
+      0, "daemon",
+      [&] {
+        for (;;) {
+          sched.Sleep(10 * kMicrosecond);
+          ticks.push_back(sched.now());
+        }
+      },
+      /*daemon=*/true);
+  sched.Spawn(0, "first", [&] { sched.Sleep(35 * kMicrosecond); });
+  sched.Run();
+  EXPECT_EQ(ticks, (std::vector<SimTime>{10 * kMicrosecond, 20 * kMicrosecond,
+                                         30 * kMicrosecond}));
+  EXPECT_EQ(sched.global_now(), 35 * kMicrosecond);
+  EXPECT_EQ(sched.context_switches(), 6u);
+
+  sched.Spawn(0, "second", [&] { sched.Sleep(25 * kMicrosecond); });
+  sched.Run();
+  EXPECT_EQ(ticks, (std::vector<SimTime>{10 * kMicrosecond, 20 * kMicrosecond,
+                                         30 * kMicrosecond, 40 * kMicrosecond,
+                                         50 * kMicrosecond}));
+  EXPECT_EQ(sched.global_now(), 60 * kMicrosecond);
+  EXPECT_EQ(sched.context_switches(), 10u);
+}
+
+// context_switches() counts dispatches. A lone fiber that yields is picked
+// again each time, which counts as a dispatch but needs no switch.
+TEST(SchedulerTest, LoneYielderIsDispatchedOncePerYield) {
+  Scheduler sched(1, kQuantum);
+  constexpr uint64_t kYields = 5;
+  std::vector<uint64_t> after_yield;
+  sched.Spawn(0, "alone", [&] {
+    for (uint64_t i = 0; i < kYields; ++i) {
+      sched.Yield();
+      after_yield.push_back(sched.context_switches());
+    }
+  });
+  sched.Run();
+  EXPECT_EQ(after_yield, (std::vector<uint64_t>{2, 3, 4, 5, 6}));
+  EXPECT_EQ(sched.context_switches(), kYields + 1);
+  EXPECT_EQ(sched.global_now(), 0);
+}
+
+// Records every advance of global_now() the scheduler reports.
+class RecordingObserver : public TimeObserver {
+ public:
+  explicit RecordingObserver(const Scheduler* sched) : sched_(sched) {}
+  void OnTimeAdvance(SimTime now) override {
+    EXPECT_EQ(now, sched_->global_now());
+    seen.push_back(now);
+  }
+  std::vector<SimTime> seen;
+
+ private:
+  const Scheduler* sched_;
+};
+
+TEST(SchedulerTest, TimeObserverSeesEveryAdvanceInOrder) {
+  Scheduler sched(2, kQuantum);
+  RecordingObserver observer(&sched);
+  sched.SetTimeObserver(&observer);
+  sched.Spawn(0, "late", [&] {
+    sched.Sleep(30 * kMicrosecond);
+    sched.Advance(5 * kMicrosecond);
+  });
+  sched.Spawn(1, "early", [&] {
+    sched.Advance(10 * kMicrosecond);
+    sched.Sleep(10 * kMicrosecond);
+    sched.Advance(7 * kMicrosecond);
+  });
+  sched.Run();
+  // Releases at 10 (early sleeps), 27 (early ends) and 35 (late ends);
+  // dispatches at 20 (early wakes) and 30 (late wakes).
+  EXPECT_EQ(observer.seen,
+            (std::vector<SimTime>{10 * kMicrosecond, 20 * kMicrosecond, 27 * kMicrosecond,
+                                  30 * kMicrosecond, 35 * kMicrosecond}));
+  EXPECT_EQ(sched.global_now(), 35 * kMicrosecond);
 }
 
 TEST(SchedulerTest, DeterministicAcrossRuns) {
