@@ -148,7 +148,8 @@ std::optional<PhysicalCopy> CoherentMemory::AllocateFrame(Cpage& page, int prefe
 PhysicalCopy CoherentMemory::InitialFill(Cpage& page, int processor) {
   std::optional<PhysicalCopy> copy = AllocateFrame(page, processor);
   PLAT_CHECK(copy.has_value()) << "out of physical memory filling cpage " << page.id();
-  // Frames come from a pre-zeroed pool; no extra charge.
+  // A frame freed by another cpage still holds that page's bytes, so zero it;
+  // zero-fill is not charged.
   std::memset(machine_->module(copy->module).FrameData(copy->frame), 0,
               machine_->params().page_size_bytes);
   return *copy;

@@ -136,15 +136,12 @@ Fiber::Fiber(uint32_t id, int processor, std::string name, std::function<void()>
       processor_(processor),
       name_(std::move(name)),
       body_(std::move(body)),
-      daemon_(daemon) {
+      daemon_(daemon),
+      mapping_(GuardBytes() + kFiberStackBytes) {
   PLAT_CHECK(body_ != nullptr);
   const size_t guard = GuardBytes();
-  void* mapping = mmap(nullptr, guard + kFiberStackBytes, PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-  PLAT_CHECK(mapping != MAP_FAILED) << "cannot map a fiber stack: " << std::strerror(errno);
-  mapping_ = static_cast<char*>(mapping);
-  PLAT_CHECK_EQ(mprotect(mapping_, guard, PROT_NONE), 0) << std::strerror(errno);
-  char* stack = mapping_ + guard;
+  PLAT_CHECK_EQ(mprotect(mapping_.data(), guard, PROT_NONE), 0) << std::strerror(errno);
+  char* stack = static_cast<char*>(mapping_.data()) + guard;
   context_.entry = entry;
   context_.stack_bottom = stack;
   context_.stack_size = kFiberStackBytes;
@@ -173,7 +170,6 @@ Fiber::~Fiber() {
   // ASan leaves the redzones of frames that never returned poisoned; memory
   // mapped here later must not inherit them.
   ASAN_UNPOISON_MEMORY_REGION(context_.stack_bottom, kFiberStackBytes);
-  PLAT_CHECK_EQ(munmap(mapping_, GuardBytes() + kFiberStackBytes), 0);
 }
 
 }  // namespace platinum::sim

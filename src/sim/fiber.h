@@ -10,7 +10,8 @@
 // System V ABI makes a callee preserve: rbx, rbp, r12-r15, the stack pointer,
 // MXCSR and the x87 control word. It makes no system call. The signal mask is
 // not switched: nothing in the simulator changes it. Other architectures
-// switch with ucontext. Each fiber stack is mapped with a PROT_NONE guard
+// switch with ucontext. Each fiber stack is mapped on demand, so only the
+// stack pages a fiber touches take host memory, and has a PROT_NONE guard
 // page below it, so an overflow faults instead of corrupting the heap.
 #ifndef SRC_SIM_FIBER_H_
 #define SRC_SIM_FIBER_H_
@@ -25,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/anonymous_mapping.h"
 #include "src/base/thread_annotations.h"
 #include "src/sim/time.h"
 
@@ -105,7 +107,7 @@ class Fiber {
   std::vector<Fiber*> joiners_;
 
   // The mapping: one guard page, then kFiberStackBytes of stack.
-  char* mapping_ = nullptr;
+  base::AnonymousMapping mapping_;
   FiberContext context_;
 };
 

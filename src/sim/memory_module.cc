@@ -10,7 +10,7 @@ MemoryModule::MemoryModule(int node, const MachineParams& params)
       page_size_(params.page_size_bytes),
       slot_state_(num_frames_, SlotState::kFree),
       slot_cpage_(num_frames_, kInvalidCpage),
-      data_(static_cast<size_t>(num_frames_) * page_size_, 0),
+      data_(static_cast<size_t>(num_frames_) * page_size_),
       free_frames_(num_frames_) {}
 
 uint32_t MemoryModule::Hash(uint32_t cpage_index) const {

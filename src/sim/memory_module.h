@@ -6,6 +6,12 @@
 // Section 2.3: an open-addressed table keyed by coherent-page index, so the
 // fault handler can locate or allocate a local copy using only local memory
 // references (Section 3.3).
+//
+// The backing storage is mapped on demand (base::AnonymousMapping): a frame
+// the simulation never touched reads as zero and holds no host memory, so
+// building a machine costs nothing in proportion to its simulated memory. A
+// freed frame keeps its bytes until it is reused, so the coherent-memory fault
+// handler zero-fills or copies every frame it takes.
 #ifndef SRC_SIM_MEMORY_MODULE_H_
 #define SRC_SIM_MEMORY_MODULE_H_
 
@@ -14,6 +20,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/base/anonymous_mapping.h"
 #include "src/base/check.h"
 #include "src/base/discipline_lock.h"
 #include "src/base/thread_annotations.h"
@@ -58,11 +65,11 @@ class MemoryModule {
   // Raw backing storage of a frame (page_size bytes).
   uint8_t* FrameData(uint32_t frame) {
     PLAT_CHECK_LT(frame, num_frames_);
-    return data_.data() + static_cast<size_t>(frame) * page_size_;
+    return static_cast<uint8_t*>(data_.data()) + static_cast<size_t>(frame) * page_size_;
   }
   const uint8_t* FrameData(uint32_t frame) const {
     PLAT_CHECK_LT(frame, num_frames_);
-    return data_.data() + static_cast<size_t>(frame) * page_size_;
+    return static_cast<uint8_t*>(data_.data()) + static_cast<size_t>(frame) * page_size_;
   }
   // One 32-bit word of a frame's backing storage, `word` words into it.
   uint32_t ReadWord(uint32_t frame, uint32_t word) const {
@@ -97,7 +104,7 @@ class MemoryModule {
   base::DisciplineLock table_lock_;
   std::vector<SlotState> slot_state_ GUARDED_BY(table_lock_);
   std::vector<uint32_t> slot_cpage_ GUARDED_BY(table_lock_);
-  std::vector<uint8_t> data_;
+  base::AnonymousMapping data_;
   uint32_t free_frames_ GUARDED_BY(table_lock_);
 };
 

@@ -4,7 +4,9 @@
 //
 // One shared memory, one shared bus with queueing, and a direct-mapped
 // write-through cache per processor kept coherent by snoop-invalidation.
-// Runs on the same virtual-time fiber scheduler as the NUMA machine.
+// Runs on the same virtual-time fiber scheduler as the NUMA machine. The
+// shared memory is mapped on demand: it reads as zero and takes host memory
+// only where the simulation touches it.
 #ifndef SRC_UMA_UMA_MACHINE_H_
 #define SRC_UMA_UMA_MACHINE_H_
 
@@ -12,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/base/anonymous_mapping.h"
 #include "src/sim/params.h"
 #include "src/sim/scheduler.h"
 #include "src/sim/time.h"
@@ -70,10 +73,11 @@ class UmaMachine {
   // latency including queueing.
   sim::SimTime BusTransaction(sim::SimTime base, sim::SimTime occupancy);
   void InvalidateOthers(int writer, size_t word_addr);
+  uint32_t* words() const { return static_cast<uint32_t*>(memory_.data()); }
 
   const UmaParams params_;
   sim::Scheduler scheduler_;
-  std::vector<uint32_t> memory_;
+  base::AnonymousMapping memory_;  // params_.memory_words words
   std::vector<Cache> caches_;
   sim::SimTime bus_busy_until_ = 0;
   size_t next_free_word_ = 0;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
@@ -25,7 +26,8 @@ using test::TestSystem;
 
 class CoherentMemoryTest : public ::testing::Test {
  protected:
-  CoherentMemoryTest() : sys_(4) {
+  CoherentMemoryTest() : CoherentMemoryTest(sim::ButterflyPlusParams(4)) {}
+  explicit CoherentMemoryTest(const sim::MachineParams& params) : sys_(params) {
     space_ = sys_.kernel.CreateAddressSpace("test-space");
     zone_ = std::make_unique<rt::ZoneAllocator>(&sys_.kernel, space_);
   }
@@ -330,6 +332,68 @@ TEST_F(CoherentMemoryTest, UnbindRemovesTranslationsAndMapper) {
   EXPECT_TRUE(page(id).mappers().empty());
   EXPECT_EQ(page(id).write_mappings(), 0u);
   sys_.kernel.memory().CheckInvariants();
+}
+
+// A frame freed by one cpage keeps its bytes until the next cpage gets it,
+// and that cpage must read zeros. With one frame per module, every page
+// placed on a module gets the same frame.
+class FrameReuseTest : public CoherentMemoryTest {
+ protected:
+  FrameReuseTest() : CoherentMemoryTest(OneFramePerModule()) {}
+
+  static sim::MachineParams OneFramePerModule() {
+    sim::MachineParams params = sim::ButterflyPlusParams(2);
+    params.frames_per_module = 1;
+    return params;
+  }
+
+  // Fills node 1's frame with a whole page of nonzero data, then frees it:
+  // node 0 replicates the page and writes it, invalidating node 1's copy.
+  void DirtyAndFreeNode1Frame() {
+    const uint32_t words = sys_.machine.params().page_size_bytes / 4;
+    auto dirty = rt::SharedArray<uint32_t>::Create(*zone_, "dirty", words);
+    const uint32_t id = sys_.kernel.FindMemoryObject("dirty")->cpage(0);
+    At(1, 0, [&] {
+      for (uint32_t i = 0; i < words; ++i) {
+        dirty.Set(i, 0xA5A5A5A5u);
+      }
+    });
+    At(0, 2 * kMillisecond, [&] { dirty.Get(0); });
+    At(0, 4 * kMillisecond, [&] { dirty.Set(0, 1); });
+    RunAndCheck();
+    ASSERT_FALSE(page(id).HasCopyOn(1));
+    ASSERT_EQ(sys_.machine.module(1).free_frames(), 1u);
+  }
+
+  // Every byte of node 1's frame.
+  bool Node1FrameReadsZero() {
+    const uint8_t* data = sys_.machine.module(1).FrameData(0);
+    return std::all_of(data, data + sys_.machine.params().page_size_bytes,
+                       [](uint8_t byte) { return byte == 0; });
+  }
+};
+
+TEST_F(FrameReuseTest, InitialFillZeroesAReusedFrame) {
+  ASSERT_NO_FATAL_FAILURE(DirtyAndFreeNode1Frame());
+  uint32_t id;
+  auto arr = NewPage("fresh", &id);
+  At(1, 0, [&] { EXPECT_EQ(arr.Get(3), 0u); });
+  RunAndCheck();
+  ASSERT_EQ(page(id).copies().size(), 1u);
+  EXPECT_EQ(page(id).copies()[0].module, 1);
+  EXPECT_TRUE(Node1FrameReadsZero());
+}
+
+TEST_F(FrameReuseTest, PinZeroesAReusedFrame) {
+  ASSERT_NO_FATAL_FAILURE(DirtyAndFreeNode1Frame());
+  uint32_t id;
+  auto arr = NewPage("fresh", &id);
+  sys_.kernel.PinMemory(space_, arr.base_va(), /*node=*/1);
+  ASSERT_EQ(page(id).copies().size(), 1u);
+  EXPECT_EQ(page(id).copies()[0].module, 1);
+  EXPECT_TRUE(Node1FrameReadsZero());
+  At(0, 0, [&] { EXPECT_EQ(arr.Get(3), 0u); });
+  RunAndCheck();
 }
 
 // End-to-end coherence: random reads/writes from all processors must always

@@ -3,9 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <set>
+#include <string>
 
+#include "src/sim/machine.h"
 #include "src/sim/params.h"
+#include "tests/test_util.h"
 
 namespace platinum::sim {
 namespace {
@@ -99,6 +105,39 @@ TEST(MemoryModuleTest, ProbeCountsReflectCollisions) {
     EXPECT_GE(alloc->probes, 1u);
     EXPECT_LE(alloc->probes, 16u);
   }
+}
+
+// Fresh frames must read as zero: raw regions (src/baseline) hand them out
+// without a fill.
+TEST(MemoryModuleTest, FreshFramesReadZero) {
+  const MachineParams params = ButterflyPlusParams(2);
+  MemoryModule module(0, params);
+  for (uint32_t frame = 0; frame < module.num_frames(); ++frame) {
+    const uint8_t* data = module.FrameData(frame);
+    ASSERT_TRUE(std::all_of(data, data + params.page_size_bytes,
+                            [](uint8_t byte) { return byte == 0; }))
+        << "frame " << frame;
+  }
+}
+
+// Frames take host memory only once touched, so a 64-node machine (256 MB
+// of simulated memory) costs next to nothing to build.
+TEST(MemoryModuleTest, BuildingAMachineTouchesNoFrames) {
+  const long before = test::ResidentKb();
+  ASSERT_GT(before, 0);
+  Machine machine(ButterflyPlusParams(64));
+  const long added = test::ResidentKb() - before;
+  EXPECT_LT(added, 16 * 1024) << "building a 64-node machine made " << added
+                              << " kB resident";
+}
+
+TEST(MemoryModuleDeathTest, UnmappableFramesAbortWithSizeAndReason) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  MachineParams params = ButterflyPlusParams(2);
+  params.frames_per_module = 1u << 17;
+  params.page_size_bytes = 1u << 31;  // 2^48 bytes: more than a process can address
+  EXPECT_DEATH({ MemoryModule module(0, params); },
+               "cannot map 281474976710656 bytes: " + std::string(std::strerror(ENOMEM)));
 }
 
 }  // namespace

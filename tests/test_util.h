@@ -2,6 +2,7 @@
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
 
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -30,6 +31,19 @@ inline void RunInThread(kernel::Kernel& kernel, vm::AddressSpace* space, int pro
                         std::function<void()> body) {
   kernel.SpawnThread(space, processor, "test", std::move(body));
   kernel.Run();
+}
+
+// The process's resident set in kB (VmRSS in /proc/self/status), or -1 when
+// the host does not report it.
+inline long ResidentKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stol(line.substr(6));
+    }
+  }
+  return -1;
 }
 
 }  // namespace platinum::test

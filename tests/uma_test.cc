@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include "src/uma/cache.h"
+#include "tests/test_util.h"
 
 namespace platinum::uma {
 namespace {
@@ -127,6 +132,26 @@ TEST(UmaArrayTest, GetSetRoundTrip) {
     EXPECT_EQ(array.Get(3), 100u);
   });
   machine.scheduler().Run();
+}
+
+// Shared memory takes host memory only once touched: eight default machines
+// (16 MB of simulated memory each) cost next to nothing to build.
+TEST(UmaMemoryTest, BuildingMachinesTouchesNoMemory) {
+  const long before = test::ResidentKb();
+  ASSERT_GT(before, 0);
+  std::vector<std::unique_ptr<UmaMachine>> machines;
+  for (int i = 0; i < 8; ++i) {
+    machines.push_back(std::make_unique<UmaMachine>(UmaParams{}));
+  }
+  const long added = test::ResidentKb() - before;
+  EXPECT_LT(added, 16 * 1024) << "building 8 UMA machines made " << added << " kB resident";
+}
+
+TEST(UmaMachineDeathTest, MemoryWhoseByteCountOverflowsAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  UmaParams params;
+  params.memory_words = SIZE_MAX / 2;  // times 4 bytes wraps around
+  EXPECT_DEATH({ UmaMachine machine(params); }, "overflows its byte count");
 }
 
 }  // namespace

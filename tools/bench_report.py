@@ -3,14 +3,15 @@
 
 Every bench binary prints a PLATINUM_BENCH_METRICS line (bench/bench_util.h:
 RunMetrics) summing simulated references and simulated time across all the
-machines it built; this script adds host wall-clock per binary and derives
-accesses/sec — the host-throughput figure the fast path (docs/PERFORMANCE.md)
-is meant to move. Tables written via PLATINUM_JSON_DIR are embedded so the
-simulated-time series travel with the baseline. tools/behaviour_gate.py
-reuses BENCHES, SMALL_ENV and run_bench.
+machines it built; this script adds host wall-clock and peak resident memory
+per binary and derives accesses/sec — the host-throughput figure the fast path
+(docs/PERFORMANCE.md) is meant to move. Peak memory is host-side like the
+wall-clock: no gate compares it. Tables written via PLATINUM_JSON_DIR are
+embedded so the simulated-time series travel with the baseline.
+tools/behaviour_gate.py reuses BENCHES, SMALL_ENV and run_bench.
 
 Usage:
-  tools/bench_report.py --build-dir build --out BENCH_PR18.json [--small]
+  tools/bench_report.py --build-dir build --out BENCH_PR19.json [--small]
 
 `--small` shrinks the workloads to smoke size (SMALL_ENV, the sizes the
 behaviour gate runs); without it the default run-in-seconds sizes are used.
@@ -62,19 +63,25 @@ def run_bench(binary, workdir, env):
 
     Its tables land in `workdir` and its stdout names them by relative path,
     so the output does not depend on where it ran. Returns (stdout bytes,
-    metrics, tables, host seconds); tables maps each table's name to the
-    bytes the bench wrote.
+    metrics, tables, host); tables maps each table's name to the bytes the
+    bench wrote, and host holds the host-side figures: wall-clock seconds and
+    the child's peak resident set in MB (ru_maxrss from wait4).
     """
     start = time.monotonic()
-    proc = subprocess.run(
+    proc = subprocess.Popen(
         [os.path.abspath(binary)],
         cwd=workdir,
         env=dict(env, PLATINUM_JSON_DIR="."),
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
     )
+    with proc.stdout:
+        stdout = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
     host_seconds = time.monotonic() - start
-    text = proc.stdout.decode(errors="replace")
+    # wait4 reaped the child; recording its status keeps Popen from waiting.
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    text = stdout.decode(errors="replace")
     if proc.returncode != 0:
         sys.stderr.write(text)
         raise SystemExit(f"{binary} exited with {proc.returncode}")
@@ -86,14 +93,15 @@ def run_bench(binary, workdir, env):
         if name.endswith(".json"):
             with open(os.path.join(workdir, name), "rb") as f:
                 tables[name[: -len(".json")]] = f.read()
-    return proc.stdout, json.loads(matches[-1]), tables, host_seconds
+    host = {"host_seconds": host_seconds, "peak_rss_mb": usage.ru_maxrss / 1024}
+    return stdout, json.loads(matches[-1]), tables, host
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--build-dir", default="build")
-    parser.add_argument("--out", default="BENCH_PR18.json")
-    parser.add_argument("--tag", default="PR18")
+    parser.add_argument("--out", default="BENCH_PR19.json")
+    parser.add_argument("--tag", default="PR19")
     parser.add_argument("--small", action="store_true", help="smoke-size workloads")
     parser.add_argument("--benches", nargs="*", default=BENCHES)
     args = parser.parse_args()
@@ -127,8 +135,13 @@ def main():
             print(f"bench_report: running {name} ...", flush=True)
             workdir = os.path.join(tmp, name)
             os.mkdir(workdir)
-            _, metrics, tables, host_seconds = run_bench(binary, workdir, env)
-            entry = {"host_seconds": round(host_seconds, 3), **metrics}
+            _, metrics, tables, host = run_bench(binary, workdir, env)
+            host_seconds = host["host_seconds"]
+            entry = {
+                "host_seconds": round(host_seconds, 3),
+                "peak_rss_mb": round(host["peak_rss_mb"], 1),
+                **metrics,
+            }
             if host_seconds > 0:
                 entry["accesses_per_sec"] = round(metrics["references"] / host_seconds)
             if tables:
