@@ -298,15 +298,6 @@ void SharedTrie::Visit(const std::function<void(uint32_t, uint32_t)>& fn) {
   VisitNode(kRootSlot, fn);
 }
 
-uint64_t SharedTrie::ContentChecksum() {
-  Checksum sum;
-  Visit([&sum](uint32_t key, uint32_t value) {
-    sum.Add(key);
-    sum.Add(value);
-  });
-  return sum.value();
-}
-
 uint64_t SharedTrie::CountEntries() {
   uint64_t count = 0;
   Visit([&count](uint32_t, uint32_t) { ++count; });

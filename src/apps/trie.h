@@ -35,7 +35,6 @@
 #include <functional>
 #include <vector>
 
-#include "src/apps/workloads.h"
 #include "src/kernel/kernel.h"
 #include "src/runtime/shared_array.h"
 #include "src/runtime/sync.h"
@@ -82,8 +81,6 @@ class SharedTrie {
   // Visits every (key, value) pair in chunk-lexicographic key order — a
   // total order on keys independent of insertion history.
   void Visit(const std::function<void(uint32_t key, uint32_t value)>& fn);
-  // FNV-1a over the visited (key, value) stream.
-  uint64_t ContentChecksum();
   // Live entries (walks the trie).
   uint64_t CountEntries();
 

@@ -50,11 +50,35 @@ uint32_t SortInputValue(uint64_t seed, size_t index) {
 }
 
 uint64_t SortReferenceChecksum(uint64_t seed, size_t count) {
+  // A counting sort on the top 12 bits, fed twice by the generator so the
+  // output is the only copy of the input; std::sort then finishes each
+  // bucket (about 64 values at the default size). The order, and so the
+  // checksum, is that of one std::sort over the whole input, in about half
+  // its host time. A two-pass LSD radix sort is faster still, but its
+  // second copy of the input raised the sort benchmark's peak resident
+  // memory by 12%.
+  constexpr int kBucketBits = 12;
+  std::vector<size_t> cursor(size_t{1} << kBucketBits, 0);
+  for (size_t i = 0; i < count; ++i) {
+    ++cursor[SortInputValue(seed, i) >> (32 - kBucketBits)];
+  }
+  size_t next = 0;
+  for (size_t& c : cursor) {
+    size_t n = c;
+    c = next;
+    next += n;
+  }
   std::vector<uint32_t> values(count);
   for (size_t i = 0; i < count; ++i) {
-    values[i] = SortInputValue(seed, i);
+    uint32_t v = SortInputValue(seed, i);
+    values[cursor[v >> (32 - kBucketBits)]++] = v;
   }
-  std::sort(values.begin(), values.end());
+  // Each cursor now sits at the end of its bucket.
+  size_t begin = 0;
+  for (size_t end : cursor) {
+    std::sort(values.begin() + begin, values.begin() + end);
+    begin = end;
+  }
   Checksum sum;
   for (uint32_t v : values) {
     sum.Add(v);

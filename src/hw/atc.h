@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/base/check.h"
 #include "src/hw/pmap.h"
 #include "src/hw/rights.h"
 
@@ -27,14 +28,19 @@ class Atc {
     return nullptr;
   }
   // Installs a translation, evicting whatever shared its slot.
-  void Fill(uint32_t as_id, uint32_t vpn, const PmapEntry& entry);
+  void Fill(uint32_t as_id, uint32_t vpn, const PmapEntry& entry) {
+    PLAT_CHECK(entry.valid);
+    Slot& slot = slots_[IndexOf(vpn)];
+    slot.valid = true;
+    slot.as_id = as_id;
+    slot.vpn = vpn;
+    slot.entry = entry;
+  }
   // Drops the translation for one page, if cached.
   void FlushPage(uint32_t as_id, uint32_t vpn);
   // Drops every translation for one address space.
   void FlushAddressSpace(uint32_t as_id);
   void FlushAll();
-
-  uint64_t fills() const { return fills_; }
 
  private:
   struct Slot {
@@ -48,7 +54,6 @@ class Atc {
 
   std::vector<Slot> slots_;
   uint32_t mask_;
-  uint64_t fills_ = 0;
 };
 
 }  // namespace platinum::hw

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/base/check.h"
 #include "src/hw/rights.h"
 
 namespace platinum::hw {
@@ -29,7 +30,10 @@ class Pmap {
 
   uint32_t num_pages() const { return static_cast<uint32_t>(entries_.size()); }
 
-  const PmapEntry& entry(uint32_t vpn) const;
+  const PmapEntry& entry(uint32_t vpn) const {
+    PLAT_CHECK_LT(vpn, entries_.size());
+    return entries_[vpn];
+  }
   // Installs or replaces the translation for `vpn`.
   void Enter(uint32_t vpn, int16_t module, uint32_t frame, Rights rights);
   // Removes the translation for `vpn`; no-op if not present.

@@ -2,6 +2,7 @@
 
 #include <functional>
 
+#include "src/apps/workloads.h"
 #include "src/base/check.h"
 #include "src/obs/json.h"
 #include "src/runtime/parallel.h"

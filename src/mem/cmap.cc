@@ -17,12 +17,8 @@ const CmapEntry& Cmap::entry(uint32_t vpn) const {
   return entries_[vpn];
 }
 
-hw::Pmap& Cmap::pmap(int processor) {
-  PLAT_CHECK_GE(processor, 0);
-  PLAT_CHECK_LT(processor, sim::kMaxProcessors);
-  if (pmaps_[processor] == nullptr) {
-    pmaps_[processor] = std::make_unique<hw::Pmap>(num_pages_);
-  }
+hw::Pmap& Cmap::CreatePmap(int processor) {
+  pmaps_[processor] = std::make_unique<hw::Pmap>(num_pages_);
   return *pmaps_[processor];
 }
 

@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 
+#include "src/base/check.h"
 #include "src/hw/pmap.h"
 #include "src/hw/rights.h"
 #include "src/mem/cpage.h"
@@ -56,7 +57,14 @@ class Cmap {
   const CmapEntry& entry(uint32_t vpn) const;
 
   // The processor's private Pmap for this space, created on first use.
-  hw::Pmap& pmap(int processor);
+  hw::Pmap& pmap(int processor) {
+    PLAT_CHECK_GE(processor, 0);
+    PLAT_CHECK_LT(processor, sim::kMaxProcessors);
+    if (pmaps_[processor] == nullptr) [[unlikely]] {
+      return CreatePmap(processor);
+    }
+    return *pmaps_[processor];
+  }
   bool has_pmap(int processor) const { return pmaps_[processor] != nullptr; }
 
   // Activation census: a processor is "active" in the space while it runs (or
@@ -79,6 +87,8 @@ class Cmap {
   int AcknowledgeMessages(int processor);
 
  private:
+  hw::Pmap& CreatePmap(int processor);
+
   const uint32_t as_id_;
   const uint32_t num_pages_;
   std::vector<CmapEntry> entries_;

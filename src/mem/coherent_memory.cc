@@ -41,16 +41,6 @@ uint32_t CoherentMemory::RegisterAddressSpace(uint32_t num_pages) {
   return as_id;
 }
 
-Cmap& CoherentMemory::cmap(uint32_t as_id) {
-  PLAT_CHECK_LT(as_id, cmaps_.size());
-  return *cmaps_[as_id];
-}
-
-const Cmap& CoherentMemory::cmap(uint32_t as_id) const {
-  PLAT_CHECK_LT(as_id, cmaps_.size());
-  return *cmaps_[as_id];
-}
-
 uint32_t CoherentMemory::CreateCpage(int home_module) { return cpages_.Create(home_module); }
 
 void CoherentMemory::BindPage(uint32_t as_id, uint32_t vpn, uint32_t cpage, hw::Rights rights) {
@@ -141,41 +131,24 @@ void CoherentMemory::ChargeCpageStructures(const Cpage& page, int processor) {
   }
 }
 
-CoherentMemory::AccessResult CoherentMemory::AccessSlow(uint32_t as_id, uint32_t vpn,
-                                                        uint32_t word_offset,
-                                                        sim::AccessKind kind,
-                                                        uint32_t write_value, bool allow_yield,
-                                                        hw::Rights needed, int processor) {
-  // Every trip through the trap is an ATC miss: either the slot held another
-  // page (or nothing), or its cached rights were too weak to be used.
-  ++machine_->stats().atc_misses;
-
-  Cmap& cm = cmap(as_id);
-  hw::Pmap& pmap = cm.pmap(processor);
-  hw::Atc& atc = mmus_[processor].atc();
-  {
-    // The MMU walks the processor's private Pmap; a usable entry is loaded
-    // into the ATC, anything else traps into the coherent page fault handler.
-    const hw::PmapEntry& pe = pmap.entry(vpn);
-    if (pe.valid && Allows(pe.rights, needed)) {
-      machine_->Compute(machine_->params().atc_fill_ns);
-      atc.Fill(as_id, vpn, pe);
-      return FinishAccess(as_id, vpn, word_offset, kind, write_value, allow_yield, pe,
-                          processor);
-    }
-    AccessOutcome outcome = HandleFault(as_id, vpn, kind);
-    if (outcome != AccessOutcome::kOk) {
-      return AccessResult{outcome, 0};
-    }
+CoherentMemory::AccessResult CoherentMemory::AccessFault(uint32_t as_id, uint32_t vpn,
+                                                         uint32_t word_offset,
+                                                         sim::AccessKind kind,
+                                                         uint32_t write_value, bool allow_yield,
+                                                         hw::Rights needed, int processor) {
+  AccessOutcome outcome = HandleFault(as_id, vpn, kind);
+  if (outcome != AccessOutcome::kOk) {
+    return AccessResult{outcome, 0};
   }
 
   // One post-fault Pmap read (the handler may have replaced the entry, so the
   // pre-fault reference cannot be reused).
-  const hw::PmapEntry& resolved = pmap.entry(vpn);
+  const hw::PmapEntry& resolved = cmap(as_id).pmap(processor).entry(vpn);
   PLAT_CHECK(resolved.valid && Allows(resolved.rights, needed))
       << "fault handler left no usable translation for vpn " << vpn;
   // EnterMapping refreshed this processor's ATC at the end of the fault, but a
   // conflicting fill during the handler can have evicted it again.
+  hw::Atc& atc = mmus_[processor].atc();
   const hw::PmapEntry* translation = atc.Lookup(as_id, vpn);
   if (translation == nullptr || !Allows(translation->rights, needed)) {
     atc.Fill(as_id, vpn, resolved);
@@ -222,11 +195,11 @@ AccessOutcome CoherentMemory::AccessRange(uint32_t as_id, uint32_t vpn, uint32_t
     hw::Atc& atc = mmus_[processor].atc();
     const hw::PmapEntry* translation = atc.Lookup(as_id, vpn);
     if (translation == nullptr || !Allows(translation->rights, needed)) [[unlikely]] {
-      // Rare: push exactly one word through the scalar trap path, then resume
-      // the block loop with a fresh translation.
-      AccessResult r =
-          AccessSlow(as_id, vpn, word_offset, kind, write_in != nullptr ? write_in[done] : 0,
-                     allow_yield, needed, processor);
+      // An ATC miss: push exactly this word through Access, which refills
+      // from the Pmap or takes the fault, then resume the block loop with a
+      // fresh translation.
+      AccessResult r = Access(as_id, vpn, word_offset, kind,
+                              write_in != nullptr ? write_in[done] : 0, allow_yield);
       if (r.outcome != AccessOutcome::kOk) {
         return r.outcome;
       }

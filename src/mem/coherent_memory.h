@@ -24,6 +24,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/base/check.h"
 #include "src/base/discipline_lock.h"
 #include "src/base/thread_annotations.h"
 #include "src/hw/processor.h"
@@ -70,8 +71,14 @@ class CoherentMemory {
   // --- Setup -----------------------------------------------------------------
   // Registers an address space of `num_pages` virtual pages; returns its id.
   uint32_t RegisterAddressSpace(uint32_t num_pages);
-  Cmap& cmap(uint32_t as_id);
-  const Cmap& cmap(uint32_t as_id) const;
+  Cmap& cmap(uint32_t as_id) {
+    PLAT_CHECK_LT(as_id, cmaps_.size());
+    return *cmaps_[as_id];
+  }
+  const Cmap& cmap(uint32_t as_id) const {
+    PLAT_CHECK_LT(as_id, cmaps_.size());
+    return *cmaps_[as_id];
+  }
 
   // Creates a coherent page whose kernel structures live on `home_module`
   // (round-robin when negative).
@@ -97,22 +104,35 @@ class CoherentMemory {
   // scheduler preempt after the access; read-modify-write sequences pass
   // false for all but the last access.
   //
-  // The common case — ATC hit with sufficient rights — is fully inline: one
-  // ATC probe, hit accounting, the reference itself (docs/PERFORMANCE.md).
-  // Everything else (ATC fill from the Pmap, coherent page fault) traps into
-  // the out-of-line AccessSlow, mirroring the paper's cheap-hardware-path /
+  // Everything the MMU does in hardware is inline (docs/PERFORMANCE.md). An
+  // ATC hit with sufficient rights goes straight to the reference. An ATC
+  // miss walks the processor's private Pmap; a usable entry is loaded into
+  // the ATC, charging the paper's fill cost, and the access goes on as a
+  // hit would. Only a missing or too-weak Pmap translation traps into the
+  // out-of-line AccessFault, mirroring the paper's cheap-hardware-path /
   // software-trap split.
   AccessResult Access(uint32_t as_id, uint32_t vpn, uint32_t word_offset, sim::AccessKind kind,
                       uint32_t write_value = 0, bool allow_yield = true) PLATINUM_MAY_YIELD {
     int processor = machine_->scheduler().current_processor();
     hw::Rights needed =
         kind == sim::AccessKind::kWrite ? hw::Rights::kReadWrite : hw::Rights::kRead;
-    const hw::PmapEntry* translation = mmus_[processor].atc().Lookup(as_id, vpn);
-    if (translation == nullptr || !Allows(translation->rights, needed)) [[unlikely]] {
-      return AccessSlow(as_id, vpn, word_offset, kind, write_value, allow_yield, needed,
-                        processor);
+    hw::Atc& atc = mmus_[processor].atc();
+    const hw::PmapEntry* translation = atc.Lookup(as_id, vpn);
+    if (translation != nullptr && Allows(translation->rights, needed)) [[likely]] {
+      ++machine_->stats().atc_hits;
+    } else {
+      // An ATC miss: the slot held another page (or nothing), or its cached
+      // rights were too weak to be used.
+      ++machine_->stats().atc_misses;
+      const hw::PmapEntry& pe = cmap(as_id).pmap(processor).entry(vpn);
+      if (!pe.valid || !Allows(pe.rights, needed)) [[unlikely]] {
+        return AccessFault(as_id, vpn, word_offset, kind, write_value, allow_yield, needed,
+                           processor);
+      }
+      machine_->Compute(machine_->params().atc_fill_ns);
+      atc.Fill(as_id, vpn, pe);
+      translation = &pe;
     }
-    ++machine_->stats().atc_hits;
     return FinishAccess(as_id, vpn, word_offset, kind, write_value, allow_yield, *translation,
                         processor);
   }
@@ -274,21 +294,24 @@ class CoherentMemory {
   void Unfreeze(Cpage& page);
 
   // ---- coherent_memory.cc ----
-  // The trap taken when the inline fast path cannot complete an access: ATC
-  // miss, or a cached translation with insufficient rights. Counts the ATC
-  // miss, refills from the processor's private Pmap when it has a usable
-  // entry, and otherwise runs the coherent page fault handler. `needed` and
-  // `processor` are forwarded from the fast path so neither is derived twice.
-  AccessResult AccessSlow(uint32_t as_id, uint32_t vpn, uint32_t word_offset,
-                          sim::AccessKind kind, uint32_t write_value, bool allow_yield,
-                          hw::Rights needed, int processor) PLATINUM_MAY_YIELD;
-  // Tail shared by the fast and slow paths: observer callback, the reference
-  // itself (latency + data), and the post-access yield point. `translation`
-  // must permit `kind`.
-  AccessResult FinishAccess(uint32_t as_id, uint32_t vpn, uint32_t word_offset,
-                            sim::AccessKind kind, uint32_t write_value, bool allow_yield,
-                            const hw::PmapEntry& translation, int processor)
-      PLATINUM_MAY_YIELD {
+  // The coherent page fault trap, taken by Access after it has counted the
+  // ATC miss and found no usable translation in the processor's private Pmap.
+  // Runs the fault handler, reads the resolved translation from the Pmap
+  // once, reloads the ATC if the handler's fill did not survive, and
+  // finishes the access. `needed` and `processor` are forwarded from Access
+  // so neither is derived twice.
+  AccessResult AccessFault(uint32_t as_id, uint32_t vpn, uint32_t word_offset,
+                           sim::AccessKind kind, uint32_t write_value, bool allow_yield,
+                           hw::Rights needed, int processor) PLATINUM_MAY_YIELD;
+  // Tail of every access: observer callback, the reference itself (latency +
+  // data), and the post-access yield point. `translation` must permit `kind`.
+  // Forced inline: Access shares one copy between the hit and the Pmap
+  // refill, and an out-of-line copy would put a call on the hit path.
+  [[gnu::always_inline]] AccessResult FinishAccess(uint32_t as_id, uint32_t vpn,
+                                                   uint32_t word_offset, sim::AccessKind kind,
+                                                   uint32_t write_value, bool allow_yield,
+                                                   const hw::PmapEntry& translation,
+                                                   int processor) PLATINUM_MAY_YIELD {
     if (access_observer_ != nullptr) [[unlikely]] {
       NotifyAccessObserver(as_id, vpn, word_offset, kind, processor);
     }

@@ -20,20 +20,6 @@ const char* CpageStateName(CpageState state) {
   return "?";
 }
 
-const char* MemoryAdviceName(MemoryAdvice advice) {
-  switch (advice) {
-    case MemoryAdvice::kDefault:
-      return "default";
-    case MemoryAdvice::kReadMostly:
-      return "read-mostly";
-    case MemoryAdvice::kWriteShared:
-      return "write-shared";
-    case MemoryAdvice::kPrivate:
-      return "private";
-  }
-  return "?";
-}
-
 std::optional<PhysicalCopy> Cpage::FindCopy(int module) const {
   if (!HasCopyOn(module)) {
     return std::nullopt;

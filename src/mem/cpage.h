@@ -41,8 +41,6 @@ enum class MemoryAdvice : uint8_t {
   kPrivate,     // migrate freely toward the (single) user
 };
 
-const char* MemoryAdviceName(MemoryAdvice advice);
-
 struct PhysicalCopy {
   int16_t module = -1;
   uint32_t frame = 0;

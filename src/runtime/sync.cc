@@ -13,12 +13,6 @@ SpinLock::SpinLock(ZoneAllocator& zone, const std::string& name)
   kernel_->RegisterSyncWords(space_, va_, 1);
 }
 
-SpinLock::SpinLock(kernel::Kernel* kernel, vm::AddressSpace* space, uint32_t va)
-    : kernel_(kernel), space_(space), va_(va) {
-  PLAT_CHECK(kernel != nullptr);
-  kernel_->RegisterSyncWords(space_, va_, 1);
-}
-
 void SpinLock::Acquire() {
   PLAT_CHECK(kernel_ != nullptr)
       << "Acquire on a default-constructed rt::SpinLock; build it from a "

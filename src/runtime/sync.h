@@ -47,9 +47,6 @@ class CAPABILITY("simulated spin lock") SpinLock {
   // later); using one before assignment aborts with a clear message.
   SpinLock() = default;
   SpinLock(ZoneAllocator& zone, const std::string& name);
-  // Builds a lock on an existing word (for deliberately co-located layouts,
-  // e.g. the defrost ablation).
-  SpinLock(kernel::Kernel* kernel, vm::AddressSpace* space, uint32_t va);
 
   void Acquire() ACQUIRE() PLATINUM_MAY_YIELD;  // spins with backoff sleeps
   void Release() RELEASE();

@@ -25,14 +25,4 @@ uint32_t ZoneAllocator::AllocWords(const std::string& name, size_t words, hw::Ri
   return vpn * kernel_->page_size();
 }
 
-uint32_t ZoneAllocator::MapObject(vm::MemoryObject* object, hw::Rights rights) {
-  PLAT_CHECK(object != nullptr);
-  uint32_t pages = object->num_pages();
-  PLAT_CHECK_LE(next_vpn_ + pages, space_->num_pages());
-  uint32_t vpn = next_vpn_;
-  next_vpn_ += pages;
-  kernel_->Map(space_, object, 0, pages, vpn, rights);
-  return vpn * kernel_->page_size();
-}
-
 }  // namespace platinum::rt

@@ -32,10 +32,6 @@ class ZoneAllocator {
   uint32_t AllocWords(const std::string& name, size_t words,
                       hw::Rights rights = hw::Rights::kReadWrite, int home_module = -1);
 
-  // Maps an existing object (e.g. shared with another address space) into a
-  // fresh range; returns the base byte address.
-  uint32_t MapObject(vm::MemoryObject* object, hw::Rights rights);
-
   // Pages handed out so far.
   uint32_t pages_allocated() const { return next_vpn_ - first_vpn_; }
 

@@ -39,10 +39,4 @@ bool Cache::Invalidate(size_t word_addr) {
   return false;
 }
 
-void Cache::Clear() {
-  for (Line& slot : lines_) {
-    slot.valid = false;
-  }
-}
-
 }  // namespace platinum::uma

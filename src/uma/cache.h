@@ -20,7 +20,6 @@ class Cache {
   // Drops the line holding `word_addr` if present (snoop invalidation).
   // Returns true if something was invalidated.
   bool Invalidate(size_t word_addr);
-  void Clear();
 
  private:
   struct Line {

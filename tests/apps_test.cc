@@ -4,6 +4,9 @@
 // behaviour (replication for Gauss, freezing for the neural simulator).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/apps/gauss.h"
 #include "src/apps/mergesort.h"
 #include "src/apps/neural.h"
@@ -117,6 +120,28 @@ TEST(GaussAnecdoteTest, ColocationCostsTime) {
   auto t_clean = RunGaussPlatinum(clean_sys.kernel, clean).elimination_ns;
   auto t_dirty = RunGaussPlatinum(dirty_sys.kernel, dirty).elimination_ns;
   EXPECT_GT(t_dirty, t_clean);
+}
+
+TEST(SortReferenceTest, MatchesStdSortChecksum) {
+  // The reference the merge sort is verified against, computed the plain way.
+  auto std_sort_checksum = [](uint64_t seed, size_t count) {
+    std::vector<uint32_t> values(count);
+    for (size_t i = 0; i < count; ++i) {
+      values[i] = apps::SortInputValue(seed, i);
+    }
+    std::sort(values.begin(), values.end());
+    apps::Checksum sum;
+    for (uint32_t v : values) {
+      sum.Add(v);
+    }
+    return sum.value();
+  };
+  for (uint64_t seed : {1, 1009}) {
+    for (size_t count : {size_t{1}, size_t{1000}, size_t{1} << 14, size_t{1} << 18}) {
+      EXPECT_EQ(apps::SortReferenceChecksum(seed, count), std_sort_checksum(seed, count))
+          << "seed " << seed << " count " << count;
+    }
+  }
 }
 
 class MergeSortPlatinumTest : public ::testing::TestWithParam<int> {};

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "src/kernel/report.h"
@@ -506,21 +507,28 @@ TEST_F(CoherentMemoryTest, AtcHitAndMissCountsCoverEveryReference) {
   EXPECT_GT(stats.faults, 0u);
   EXPECT_GT(stats.atc_hits, 0u);
   // Every reference resolves as either an ATC hit or an ATC miss; an access
-  // that traps into the fault handler is a miss too (the accounting bug fixed
-  // in AccessSlow).
+  // that traps into the fault handler is a miss too.
   EXPECT_EQ(stats.atc_hits + stats.atc_misses, stats.total_references());
 }
+
+// Records every access the memory system reports to its observer.
+struct RecordingObserver : mem::AccessObserver {
+  void OnMemoryAccess(const mem::MemoryAccess& access) override { seen.push_back(access); }
+  std::vector<mem::MemoryAccess> seen;
+};
 
 TEST_F(CoherentMemoryTest, AtcConflictRefillsFromPmapWithoutFaulting) {
   // The ATC is direct-mapped: vpns atc_entries apart share a slot. Touching
   // two conflicting pages alternately must refill from the (still valid)
   // private Pmap — an ATC miss each time, but never another page fault.
-  const uint32_t entries = sys_.machine.params().atc_entries;
-  const uint32_t wpp = sys_.machine.params().words_per_page();
+  const sim::MachineParams& params = sys_.machine.params();
+  const uint32_t entries = params.atc_entries;
+  const uint32_t wpp = params.words_per_page();
   auto arr = rt::SharedArray<uint32_t>::Create(*zone_, "conflict",
                                                static_cast<size_t>(entries + 1) * wpp);
   const size_t word_a = 0;                            // first page
   const size_t word_b = static_cast<size_t>(entries) * wpp;  // conflicting page
+  RecordingObserver observer;
   At(0, 0, [&] {
     const sim::MachineStats& stats = sys_.machine.stats();
     arr.Set(word_a, 11);  // fault: initial fill of page A
@@ -528,7 +536,19 @@ TEST_F(CoherentMemoryTest, AtcConflictRefillsFromPmapWithoutFaulting) {
     uint64_t faults_before = stats.faults;
     uint64_t misses_before = stats.atc_misses;
     uint64_t hits_before = stats.atc_hits;
+    sys_.kernel.memory().SetAccessObserver(&observer);
+    SimTime t0 = sys_.kernel.Now();
     EXPECT_EQ(arr.Get(word_a), 11u);  // ATC conflict miss, Pmap refill, no fault
+    // The refill charges the ATC fill, then one local reference to an idle
+    // module (640 + 320 ns); the observer sees the access once, after the
+    // fill.
+    EXPECT_EQ(sys_.kernel.Now() - t0, params.atc_fill_ns + params.local_read_ns);
+    sys_.kernel.memory().SetAccessObserver(nullptr);
+    ASSERT_EQ(observer.seen.size(), 1u);
+    EXPECT_EQ(observer.seen[0].vpn, arr.base_va() / sys_.kernel.page_size());
+    EXPECT_FALSE(observer.seen[0].is_write);
+    EXPECT_EQ(observer.seen[0].processor, 0);
+    EXPECT_EQ(observer.seen[0].time, t0 + params.atc_fill_ns);
     EXPECT_EQ(stats.faults, faults_before);
     EXPECT_EQ(stats.atc_misses, misses_before + 1);
     EXPECT_EQ(stats.atc_hits, hits_before);
@@ -541,10 +561,64 @@ TEST_F(CoherentMemoryTest, AtcConflictRefillsFromPmapWithoutFaulting) {
   EXPECT_EQ(stats.atc_hits + stats.atc_misses, stats.total_references());
 }
 
+// Times a write through a read-only translation: processor 2 reads a fresh
+// page (a read fault maps it read-only), then writes the same word. Returns
+// the write's elapsed virtual time and the ATC hits, ATC misses and faults
+// it added.
+struct ReadOnlyWrite {
+  SimTime elapsed = 0;
+  uint64_t atc_hits = 0;
+  uint64_t atc_misses = 0;
+  uint64_t faults = 0;
+};
+
+ReadOnlyWrite WriteThroughReadOnlyTranslation(SimTime atc_fill_ns) {
+  sim::MachineParams params = sim::ButterflyPlusParams(4);
+  params.atc_fill_ns = atc_fill_ns;
+  TestSystem sys(params);
+  auto* space = sys.kernel.CreateAddressSpace("read-only");
+  rt::ZoneAllocator zone(&sys.kernel, space);
+  auto arr = rt::SharedArray<uint32_t>::Create(zone, "p", 4);
+  ReadOnlyWrite result;
+  test::RunInThread(sys.kernel, space, 2, [&] {
+    const sim::MachineStats& stats = sys.machine.stats();
+    arr.Get(0);
+    const uint64_t hits = stats.atc_hits;
+    const uint64_t misses = stats.atc_misses;
+    const uint64_t faults = stats.faults;
+    const SimTime t0 = sys.kernel.Now();
+    arr.Set(0, 9);
+    result.elapsed = sys.kernel.Now() - t0;
+    result.atc_hits = stats.atc_hits - hits;
+    result.atc_misses = stats.atc_misses - misses;
+    result.faults = stats.faults - faults;
+  });
+  sys.kernel.memory().CheckInvariants();
+  return result;
+}
+
+TEST(CoherentMemoryTiming, WriteThroughReadOnlyPmapEntryFaultsWithoutAtcFill) {
+  // Neither the cached nor the Pmap translation allows the write, so the
+  // access is one ATC miss and one fault, and no ATC fill is charged before
+  // the fault: the write takes the same time whatever the fill costs.
+  ReadOnlyWrite write = WriteThroughReadOnlyTranslation(640);
+  EXPECT_EQ(write.atc_hits, 0u);
+  EXPECT_EQ(write.atc_misses, 1u);
+  EXPECT_EQ(write.faults, 1u);
+  EXPECT_EQ(WriteThroughReadOnlyTranslation(640 + kMillisecond).elapsed, write.elapsed);
+}
+
 // Runs one multi-processor scenario whose bulk transfers go either word by
 // word or through the block-access API, and returns everything observable:
 // the values read, the full machine stats, the protocol trace and the final
 // virtual time. The two variants must be indistinguishable.
+//
+// The contiguous layout moves one page-crossing span. The conflicting layout
+// alternates chunks between two pages that share a slot of the direct-mapped
+// ATC, so after each page's first touch every chunk starts with an ATC miss
+// served from the Pmap.
+enum class RangeLayout { kContiguous, kConflictingPages };
+
 struct RangeScenarioResult {
   std::vector<uint32_t> read_back;
   uint64_t atc_hits = 0;
@@ -557,16 +631,34 @@ struct RangeScenarioResult {
   std::vector<mem::TraceEvent> trace;
 };
 
-RangeScenarioResult RunRangeScenario(bool use_range) {
+RangeScenarioResult RunRangeScenario(bool use_range, RangeLayout layout) {
   TestSystem sys(4);
   sys.kernel.memory().EnableTracing(1 << 16);
   auto* space = sys.kernel.CreateAddressSpace("range");
   rt::ZoneAllocator zone(&sys.kernel, space);
-  const uint32_t wpp = sys.machine.params().words_per_page();
-  auto arr = rt::SharedArray<uint32_t>::Create(zone, "data", static_cast<size_t>(3) * wpp);
-  // A page-crossing span starting mid-page.
-  const size_t first = wpp / 2;
-  const size_t count = 2 * wpp;
+  const size_t wpp = sys.machine.params().words_per_page();
+  const size_t entries = sys.machine.params().atc_entries;
+  // The transfer, as (first word, count) spans moved in order, and a word
+  // another processor dirties meanwhile.
+  std::vector<std::pair<size_t, size_t>> spans;
+  size_t pages = 3;
+  size_t disturbed_word = wpp + 5;  // the middle page
+  if (layout == RangeLayout::kContiguous) {
+    spans.emplace_back(wpp / 2, 2 * wpp);  // page-crossing, starting mid-page
+  } else {
+    pages = entries + 1;  // page 0 and page `entries` share an ATC slot
+    const size_t chunk = wpp / 4;
+    for (size_t i = 0; i < 4; ++i) {
+      spans.emplace_back(i * chunk, chunk);
+      spans.emplace_back(entries * wpp + i * chunk, chunk);
+    }
+    disturbed_word = entries * wpp + 5;
+  }
+  size_t count = 0;
+  for (const auto& span : spans) {
+    count += span.second;
+  }
+  auto arr = rt::SharedArray<uint32_t>::Create(zone, "data", pages * wpp);
 
   RangeScenarioResult result;
   result.read_back.resize(count);
@@ -575,29 +667,38 @@ RangeScenarioResult RunRangeScenario(bool use_range) {
     for (size_t i = 0; i < count; ++i) {
       values[i] = static_cast<uint32_t>(3 * i + 7);
     }
-    if (use_range) {
-      arr.SetRange(first, count, values.data());
-    } else {
-      for (size_t i = 0; i < count; ++i) {
-        arr.Set(first + i, values[i]);
+    size_t done = 0;
+    for (const auto& [first, n] : spans) {
+      if (use_range) {
+        arr.SetRange(first, n, values.data() + done);
+      } else {
+        for (size_t i = 0; i < n; ++i) {
+          arr.Set(first + i, values[done + i]);
+        }
       }
+      done += n;
     }
   });
   sys.kernel.SpawnThread(space, 1, "reader", [&] {
     sys.machine.scheduler().Sleep(20 * kMillisecond);
-    if (use_range) {
-      arr.GetRange(first, count, result.read_back.data());
-    } else {
-      for (size_t i = 0; i < count; ++i) {
-        result.read_back[i] = arr.Get(first + i);
+    size_t done = 0;
+    for (const auto& [first, n] : spans) {
+      if (use_range) {
+        arr.GetRange(first, n, result.read_back.data() + done);
+      } else {
+        for (size_t i = 0; i < n; ++i) {
+          result.read_back[done + i] = arr.Get(first + i);
+        }
       }
+      done += n;
     }
   });
-  // A third processor dirtying the middle page concurrently, so some of the
-  // bulk words fault and some translations are shot down mid-transfer.
+  // A third processor dirtying a page of the transfer concurrently, so some
+  // of the bulk words fault and some translations are shot down
+  // mid-transfer.
   sys.kernel.SpawnThread(space, 2, "disturber", [&] {
     sys.machine.scheduler().Sleep(10 * kMillisecond);
-    arr.Set(static_cast<size_t>(wpp) + 5, 0xdead);
+    arr.Set(disturbed_word, 0xdead);
   });
   sys.kernel.Run();
   sys.kernel.memory().CheckInvariants();
@@ -614,10 +715,8 @@ RangeScenarioResult RunRangeScenario(bool use_range) {
   return result;
 }
 
-TEST(CoherentMemoryRange, BlockAccessMatchesWordByWordExactly) {
-  RangeScenarioResult words = RunRangeScenario(/*use_range=*/false);
-  RangeScenarioResult range = RunRangeScenario(/*use_range=*/true);
-
+void ExpectIdenticalBehaviour(const RangeScenarioResult& words,
+                              const RangeScenarioResult& range) {
   EXPECT_EQ(words.read_back, range.read_back);
   EXPECT_EQ(words.atc_hits, range.atc_hits);
   EXPECT_EQ(words.atc_misses, range.atc_misses);
@@ -626,7 +725,6 @@ TEST(CoherentMemoryRange, BlockAccessMatchesWordByWordExactly) {
   EXPECT_EQ(words.mappings_invalidated, range.mappings_invalidated);
   EXPECT_EQ(words.total_references, range.total_references);
   EXPECT_EQ(words.final_time, range.final_time);
-  EXPECT_GT(words.faults, 0u);
 
   // Identical protocol trace streams, event by event.
   ASSERT_EQ(words.trace.size(), range.trace.size());
@@ -638,6 +736,25 @@ TEST(CoherentMemoryRange, BlockAccessMatchesWordByWordExactly) {
     EXPECT_EQ(words.trace[i].detail, range.trace[i].detail) << "event " << i;
     EXPECT_EQ(words.trace[i].thread, range.trace[i].thread) << "event " << i;
   }
+}
+
+TEST(CoherentMemoryRange, BlockAccessMatchesWordByWordExactly) {
+  RangeScenarioResult words = RunRangeScenario(/*use_range=*/false, RangeLayout::kContiguous);
+  RangeScenarioResult range = RunRangeScenario(/*use_range=*/true, RangeLayout::kContiguous);
+  ExpectIdenticalBehaviour(words, range);
+  EXPECT_GT(words.faults, 0u);
+}
+
+TEST(CoherentMemoryRange, BlockAccessOverConflictingPagesMatchesWordByWord) {
+  RangeScenarioResult words =
+      RunRangeScenario(/*use_range=*/false, RangeLayout::kConflictingPages);
+  RangeScenarioResult range =
+      RunRangeScenario(/*use_range=*/true, RangeLayout::kConflictingPages);
+  ExpectIdenticalBehaviour(words, range);
+  EXPECT_GT(words.faults, 0u);
+  // Writer and reader each move 8 chunks over 2 pages; at least the 6
+  // chunks after each side's first touch of a page start with a refill.
+  EXPECT_GE(range.atc_misses - range.faults, 12u);
 }
 
 }  // namespace

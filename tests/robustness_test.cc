@@ -191,6 +191,32 @@ TEST(HotPathDeathTest, WriteOfUnboundAddressAborts) {
       "write fault at va 4 in space 'holes'");
 }
 
+TEST(HotPathDeathTest, AccessToUnregisteredAddressSpaceAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        TestSystem sys(2);
+        auto* space = sys.kernel.CreateAddressSpace("only", 16);
+        mem::CoherentMemory& memory = sys.kernel.memory();
+        test::RunInThread(sys.kernel, space, 0, [&] {
+          (void)memory.Access(space->id() + 1, 0, 0, sim::AccessKind::kRead);
+        });
+      },
+      "\\(as_id\\) < \\(cmaps_\\.size\\(\\)\\)  \\(1 vs 1\\)");
+}
+
+TEST(HotPathDeathTest, AccessPastTheEndOfAnAddressSpaceAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        TestSystem sys(2);
+        auto* space = sys.kernel.CreateAddressSpace("short", 16);
+        test::RunInThread(sys.kernel, space, 1,
+                          [&] { (void)sys.kernel.ReadWord(space, 16 * sys.kernel.page_size()); });
+      },
+      "\\(vpn\\) < \\(entries_\\.size\\(\\)\\)  \\(16 vs 16\\)");
+}
+
 TEST(CheckDeathTest, FailureReportsLocationExpressionAndContext) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   int answer = 41;

@@ -11,7 +11,7 @@ embedded so the simulated-time series travel with the baseline.
 tools/behaviour_gate.py reuses BENCHES, SMALL_ENV and run_bench.
 
 Usage:
-  tools/bench_report.py --build-dir build --out BENCH_PR19.json [--small]
+  tools/bench_report.py --build-dir build --out BENCH_PR21.json [--small]
 
 `--small` shrinks the workloads to smoke size (SMALL_ENV, the sizes the
 behaviour gate runs); without it the default run-in-seconds sizes are used.
@@ -100,8 +100,8 @@ def run_bench(binary, workdir, env):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--build-dir", default="build")
-    parser.add_argument("--out", default="BENCH_PR19.json")
-    parser.add_argument("--tag", default="PR19")
+    parser.add_argument("--out", default="BENCH_PR21.json")
+    parser.add_argument("--tag", default="PR21")
     parser.add_argument("--small", action="store_true", help="smoke-size workloads")
     parser.add_argument("--benches", nargs="*", default=BENCHES)
     args = parser.parse_args()
