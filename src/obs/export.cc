@@ -273,7 +273,7 @@ std::string ExportStatsJson(const sim::Machine& machine, const kernel::MemoryRep
     const ModuleCounters& c = obs.module(m);
     w.BeginObject();
     w.Key("module").Value(m);
-    w.Key("references_served").Value(c.references_served);
+    w.Key("references_served").Value(obs.references_served(m));
     w.Key("block_transfers_in").Value(c.block_transfers_in);
     w.Key("block_transfers_out").Value(c.block_transfers_out);
     w.Key("frames_allocated").Value(c.frames_allocated);

@@ -35,6 +35,16 @@ class LatencyHistogram {
     sum_ += value_ns;
     ++count_;
   }
+  // Records `n` zeros at once. A histogram does not depend on the order of
+  // its records, so this equals `n` calls of Record(0).
+  void AddZeros(uint64_t n) {
+    if (n == 0) {
+      return;
+    }
+    buckets_[0] += n;
+    min_ = 0;
+    count_ += n;
+  }
 
   uint64_t count() const { return count_; }
   sim::SimTime sum() const { return sum_; }

@@ -27,6 +27,20 @@ Observability::Observability(int num_nodes)
   PLAT_CHECK_GT(num_nodes, 0);
 }
 
+LatencyHistogram Observability::hist(HistKind kind) const {
+  LatencyHistogram h = hist_[static_cast<size_t>(kind)];
+  if (kind == HistKind::kModuleQueue) {
+    uint64_t references = 0;
+    for (const ProcessorCounters& c : cpu_) {
+      references += c.local_refs + c.remote_refs;
+    }
+    PLAT_CHECK_GE(references, h.count())
+        << "module-queue histogram holds more waits than the processors issued references";
+    h.AddZeros(references - h.count());
+  }
+  return h;
+}
+
 void Observability::RecordSpan(Span span) {
   if (spans_.size() >= kMaxSpans) {
     ++spans_dropped_;
@@ -42,7 +56,7 @@ void Observability::BeginPhase(std::string name, sim::SimTime now,
   phase.begin = now;
   phase.stats_at_begin_ = stats;
   for (int k = 0; k < kNumHistKinds; ++k) {
-    const LatencyHistogram& h = hist_[static_cast<size_t>(k)];
+    LatencyHistogram h = hist(static_cast<HistKind>(k));
     phase.hist_at_begin_[static_cast<size_t>(k)] = Phase::HistDelta{h.count(), h.sum()};
   }
   open_phases_.push_back(phases_.size());
@@ -57,7 +71,7 @@ void Observability::EndPhase(sim::SimTime now, const sim::MachineStats& stats) {
   phase.open = false;
   phase.delta = stats - phase.stats_at_begin_;
   for (int k = 0; k < kNumHistKinds; ++k) {
-    const LatencyHistogram& h = hist_[static_cast<size_t>(k)];
+    LatencyHistogram h = hist(static_cast<HistKind>(k));
     const Phase::HistDelta& at_begin = phase.hist_at_begin_[static_cast<size_t>(k)];
     phase.hist_delta[static_cast<size_t>(k)] =
         Phase::HistDelta{h.count() - at_begin.count, h.sum() - at_begin.sum};
@@ -73,7 +87,7 @@ std::string Observability::ToString() const {
   std::ostringstream out;
   for (int k = 0; k < kNumHistKinds; ++k) {
     out << "histogram " << HistKindName(static_cast<HistKind>(k)) << ": "
-        << hist_[static_cast<size_t>(k)].ToString();
+        << hist(static_cast<HistKind>(k)).ToString();
   }
   out << "cpu   faults  (r/w)            fills  repl  migr  rmaps  shoot  ipis   "
          "local-refs  remote-refs\n";
@@ -100,7 +114,7 @@ std::string Observability::ToString() const {
   for (size_t m = 0; m < module_.size(); ++m) {
     const ModuleCounters& c = module_[m];
     std::snprintf(line, sizeof(line), "%-7zu %-12llu %-6llu %-7llu %-13llu %-13llu %.2f\n", m,
-                  static_cast<unsigned long long>(c.references_served),
+                  static_cast<unsigned long long>(references_served(static_cast<int>(m))),
                   static_cast<unsigned long long>(c.block_transfers_in),
                   static_cast<unsigned long long>(c.block_transfers_out),
                   static_cast<unsigned long long>(c.frames_allocated),

@@ -8,8 +8,12 @@
 //     service, shootdown round-trip, block transfer, module queueing);
 //   * named spans and phases, so experiments can attribute counters and
 //     latencies to program phases and the Perfetto exporter can draw them.
-// Recording is always on: the hot-path cost is a handful of array updates,
-// negligible next to the work the simulator does per reference.
+// Recording is always on. Each simulated reference is counted once, by
+// sim::Interconnect::Reference; each module's references_served() and the
+// module-queue histogram's zero bucket are derived from those counts when
+// read. An uncontended local reference costs two counter increments and a bus
+// store; recording a zero wait for each one used to take a quarter of a gauss
+// run's sampled host time (docs/PERFORMANCE.md, "Count each reference once").
 #ifndef SRC_OBS_OBSERVABILITY_H_
 #define SRC_OBS_OBSERVABILITY_H_
 
@@ -41,9 +45,10 @@ struct ProcessorCounters {
   uint64_t pages_freed = 0;
 };
 
-// Per-memory-module activity: the traffic each module's bus served.
+// Per-memory-module activity: the traffic each module's bus served. Its local
+// references are counted by their requester (see references_served()).
 struct ModuleCounters {
-  uint64_t references_served = 0;
+  uint64_t remote_references_served = 0;
   uint64_t block_transfers_in = 0;
   uint64_t block_transfers_out = 0;
   uint64_t frames_allocated = 0;
@@ -55,7 +60,7 @@ enum class HistKind : uint8_t {
   kFaultService,   // HandleFault entry to exit (includes handler waits, copy)
   kShootdown,      // initiator-side cost of a synchronous shootdown round
   kBlockTransfer,  // block-transfer request to completion (includes queueing)
-  kModuleQueue,    // per-reference wait behind a module's bus
+  kModuleQueue,    // per-reference wait behind a module's bus (0 if it was free)
 };
 inline constexpr int kNumHistKinds = 4;
 const char* HistKindName(HistKind kind);
@@ -100,9 +105,18 @@ class Observability {
   ModuleCounters& module(int m) { return module_[static_cast<size_t>(m)]; }
   const ModuleCounters& module(int m) const { return module_[static_cast<size_t>(m)]; }
 
-  LatencyHistogram& hist(HistKind kind) { return hist_[static_cast<size_t>(kind)]; }
-  const LatencyHistogram& hist(HistKind kind) const { return hist_[static_cast<size_t>(kind)]; }
-  void RecordLatency(HistKind kind, sim::SimTime value_ns) { hist(kind).Record(value_ns); }
+  // References served by module `m`'s bus. A local reference's requester is
+  // its target, so its local ones are processor `m`'s local_refs.
+  uint64_t references_served(int m) const {
+    return cpu(m).local_refs + module(m).remote_references_served;
+  }
+
+  // The histogram of `kind`. The module-queue histogram stores only queued
+  // waits; every other reference the processors issued adds a 0 here.
+  LatencyHistogram hist(HistKind kind) const;
+  void RecordLatency(HistKind kind, sim::SimTime value_ns) {
+    hist_[static_cast<size_t>(kind)].Record(value_ns);
+  }
 
   // --- Spans -----------------------------------------------------------------
   // Bounded: after kMaxSpans the span is counted in spans_dropped() instead.

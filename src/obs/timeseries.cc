@@ -49,7 +49,7 @@ void EpochSampler::CloseEpoch(sim::SimTime end) {
     s.cpu_faults.push_back(obs.cpu(p).faults);
   }
   for (int k = 0; k < kNumHistKinds; ++k) {
-    const LatencyHistogram& h = obs.hist(static_cast<HistKind>(k));
+    LatencyHistogram h = obs.hist(static_cast<HistKind>(k));
     s.hist[static_cast<size_t>(k)] = HistPoint{h.count(), h.sum()};
   }
   samples_.push_back(std::move(s));

@@ -14,6 +14,16 @@ Interconnect::Interconnect(const MachineParams& params, std::vector<MemoryModule
   PLAT_CHECK(obs_ != nullptr);
 }
 
+SimTime Interconnect::Queue(MemoryModule& module, int target_node, SimTime occupancy,
+                            SimTime now) {
+  SimTime wait = module.bus_busy_until - now;
+  module.bus_busy_until += occupancy;
+  stats_->module_wait_ns += wait;
+  obs_->module(target_node).queue_wait_ns += wait;
+  obs_->RecordLatency(obs::HistKind::kModuleQueue, wait);
+  return wait;
+}
+
 SimTime Interconnect::BlockTransfer(int src_node, int dst_node, uint32_t words, SimTime now) {
   PLAT_CHECK_NE(src_node, dst_node);
   MemoryModule& src = (*modules_)[src_node];

@@ -10,7 +10,6 @@
 #ifndef SRC_SIM_INTERCONNECT_H_
 #define SRC_SIM_INTERCONNECT_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -32,11 +31,15 @@ class Interconnect {
   // Latency of one 32-bit reference issued at virtual time `now` by
   // `requester_node` against `target_node`'s module, including any time spent
   // queued behind other traffic. Updates module bus occupancy and stats.
-  SimTime Reference(int requester_node, int target_node, AccessKind kind, SimTime now) {
-    const bool local = requester_node == target_node;
+  // Counts the reference once: its MachineStats kind counter, the requester's
+  // local_refs or remote_refs and, if remote, the target's
+  // remote_references_served. On a free bus that is all; only a queued
+  // reference calls Queue, which records its wait.
+  [[gnu::always_inline]] SimTime Reference(int requester_node, int target_node, AccessKind kind,
+                                           SimTime now) {
     SimTime base;
     SimTime occupancy;
-    if (local) {
+    if (requester_node == target_node) {
       base = kind == AccessKind::kRead ? params_.local_read_ns : params_.local_write_ns;
       occupancy = params_.module_occupancy_local_ns;
       if (kind == AccessKind::kRead) {
@@ -54,18 +57,15 @@ class Interconnect {
         ++stats_->remote_writes;
       }
       ++obs_->cpu(requester_node).remote_refs;
+      ++obs_->module(target_node).remote_references_served;
     }
 
     MemoryModule& module = (*modules_)[target_node];
-    SimTime start = std::max(now, module.bus_busy_until);
-    module.bus_busy_until = start + occupancy;
-    SimTime wait = start - now;
-    stats_->module_wait_ns += wait;
-    obs::ModuleCounters& counters = obs_->module(target_node);
-    ++counters.references_served;
-    counters.queue_wait_ns += wait;
-    obs_->RecordLatency(obs::HistKind::kModuleQueue, wait);
-    return wait + base;
+    if (module.bus_busy_until <= now) [[likely]] {
+      module.bus_busy_until = now + occupancy;
+      return base;
+    }
+    return Queue(module, target_node, occupancy, now) + base;
   }
 
   // Schedules a block transfer of `words` 32-bit words from `src_node` to
@@ -74,6 +74,11 @@ class Interconnect {
   SimTime BlockTransfer(int src_node, int dst_node, uint32_t words, SimTime now);
 
  private:
+  // The rest of a reference that finds `module`'s bus busy at `now`: waits for
+  // the bus, occupies it, and records the wait. Returns the wait.
+  [[gnu::cold]] SimTime Queue(MemoryModule& module, int target_node, SimTime occupancy,
+                              SimTime now);
+
   const MachineParams& params_;
   std::vector<MemoryModule>* modules_;
   MachineStats* stats_;

@@ -46,7 +46,7 @@ class Machine {
   }
   // As above, for a caller that already knows the current processor (the
   // coherent-memory access path).
-  SimTime Reference(int requester_node, int target_node, AccessKind kind) {
+  [[gnu::always_inline]] SimTime Reference(int requester_node, int target_node, AccessKind kind) {
     SimTime latency = interconnect_.Reference(requester_node, target_node, kind, scheduler_.now());
     scheduler_.Advance(latency);
     return latency;

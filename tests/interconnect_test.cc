@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
+#include "src/obs/histogram.h"
 #include "src/sim/params.h"
 
 namespace platinum::sim {
@@ -18,11 +21,58 @@ class InterconnectTest : public ::testing::Test {
     net_ = std::make_unique<Interconnect>(params_, &modules_, &stats_, &obs_);
   }
 
+  // Issues one reference and keeps the test's own account of it: its wait
+  // (latency minus the reference's base latency), the module that served it
+  // and that module's queue wait. Returns the wait.
+  SimTime Ref(int requester, int target, AccessKind kind, SimTime now) {
+    SimTime latency = net_->Reference(requester, target, kind, now);
+    bool read = kind == AccessKind::kRead;
+    SimTime base = requester == target
+                       ? (read ? params_.local_read_ns : params_.local_write_ns)
+                       : (read ? params_.remote_read_ns : params_.remote_write_ns);
+    SimTime wait = latency - base;
+    waits_.Record(wait);
+    ++served_[static_cast<size_t>(target)];
+    queue_wait_[static_cast<size_t>(target)] += wait;
+    return wait;
+  }
+
+  // Local and remote references, with and without waits, and a block transfer
+  // that steals two buses so later references queue. Returns the block
+  // transfer's own wait for its buses.
+  SimTime RunMixedSequence(SimTime t0) {
+    EXPECT_EQ(Ref(0, 0, AccessKind::kRead, t0), 0u);
+    EXPECT_EQ(Ref(1, 0, AccessKind::kRead, t0), params_.module_occupancy_local_ns);
+    EXPECT_GT(Ref(0, 0, AccessKind::kWrite, t0 + 100), 0u);
+    EXPECT_EQ(Ref(2, 1, AccessKind::kWrite, t0), 0u);
+    EXPECT_EQ(Ref(1, 1, AccessKind::kRead, t0 + 5000), 0u);
+    EXPECT_EQ(Ref(3, 3, AccessKind::kRead, t0), 0u);
+    SimTime duration = 1024 * params_.block_copy_word_ns;
+    SimTime block_wait = net_->BlockTransfer(2, 3, 1024, t0 + 100) - duration - (t0 + 100);
+    EXPECT_EQ(block_wait, params_.module_occupancy_local_ns - 100);
+    EXPECT_GT(Ref(2, 2, AccessKind::kRead, t0 + 1000), 0u);
+    EXPECT_GT(Ref(0, 3, AccessKind::kRead, t0 + 2000), 0u);
+    EXPECT_EQ(Ref(3, 2, AccessKind::kWrite, t0 + duration), 0u);
+    return block_wait;
+  }
+
+  static void ExpectSameHistogram(const obs::LatencyHistogram& got,
+                                  const obs::LatencyHistogram& want) {
+    EXPECT_EQ(got.count(), want.count());
+    EXPECT_EQ(got.sum(), want.sum());
+    EXPECT_EQ(got.min(), want.min());
+    EXPECT_EQ(got.max(), want.max());
+    EXPECT_EQ(got.buckets(), want.buckets());
+  }
+
   MachineParams params_;
   std::vector<MemoryModule> modules_;
   MachineStats stats_;
   obs::Observability obs_;
   std::unique_ptr<Interconnect> net_;
+  obs::LatencyHistogram waits_;
+  std::array<uint64_t, 4> served_{};
+  std::array<SimTime, 4> queue_wait_{};
 };
 
 TEST_F(InterconnectTest, LocalReadLatency) {
@@ -87,6 +137,80 @@ TEST_F(InterconnectTest, BackToBackBlockTransfersSerialize) {
   SimTime first = net_->BlockTransfer(0, 1, 1024, 0);
   SimTime second = net_->BlockTransfer(0, 1, 1024, 0);
   EXPECT_GT(second, first);
+}
+
+// Only queued references record into the module-queue histogram and the wait
+// totals; the free-bus ones are derived. Both views must read as if every
+// reference had recorded its wait.
+TEST_F(InterconnectTest, DerivedViewsEqualAPerReferenceAccount) {
+  SimTime block_wait = RunMixedSequence(0);
+  ASSERT_GT(waits_.buckets()[0], 0u);
+  ASSERT_LT(waits_.buckets()[0], waits_.count());
+  ExpectSameHistogram(obs_.hist(obs::HistKind::kModuleQueue), waits_);
+  EXPECT_EQ(stats_.total_references(), waits_.count());
+  SimTime queued = 0;
+  for (int m = 0; m < 4; ++m) {
+    EXPECT_EQ(obs_.references_served(m), served_[static_cast<size_t>(m)]) << "module " << m;
+    EXPECT_EQ(obs_.module(m).queue_wait_ns, queue_wait_[static_cast<size_t>(m)])
+        << "module " << m;
+    queued += obs_.module(m).queue_wait_ns;
+  }
+  EXPECT_EQ(stats_.module_wait_ns, queued + block_wait);
+}
+
+TEST_F(InterconnectTest, ModuleQueueHistogramOfNoReferencesIsEmpty) {
+  obs::LatencyHistogram h = obs_.hist(obs::HistKind::kModuleQueue);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.min(), 0u);
+  ExpectSameHistogram(h, obs::LatencyHistogram{});
+}
+
+TEST_F(InterconnectTest, OnlyQueuedReferencesLeaveBucketZeroEmpty) {
+  net_->BlockTransfer(0, 1, 1024, 0);
+  Ref(2, 0, AccessKind::kRead, 0);
+  Ref(3, 1, AccessKind::kWrite, 0);
+  Ref(0, 0, AccessKind::kRead, 0);
+  obs::LatencyHistogram h = obs_.hist(obs::HistKind::kModuleQueue);
+  EXPECT_GT(h.min(), 0u);
+  EXPECT_EQ(h.buckets()[0], 0u);
+  ExpectSameHistogram(h, waits_);
+}
+
+TEST_F(InterconnectTest, OnlyFreeBusReferencesAreAllZeros) {
+  for (int p = 0; p < 4; ++p) {
+    Ref(p, p, AccessKind::kRead, 0);
+  }
+  for (int p = 0; p < 4; ++p) {
+    Ref(p, (p + 1) % 4, AccessKind::kWrite, 10 * kMicrosecond);
+  }
+  obs::LatencyHistogram h = obs_.hist(obs::HistKind::kModuleQueue);
+  EXPECT_EQ(h.count(), 8u);
+  EXPECT_EQ(h.min(), 0u);
+  EXPECT_EQ(h.sum(), 0u);
+  EXPECT_EQ(h.buckets()[0], 8u);
+  ExpectSameHistogram(h, waits_);
+  for (int m = 0; m < 4; ++m) {
+    EXPECT_EQ(obs_.references_served(m), 2u);
+  }
+}
+
+TEST_F(InterconnectTest, PhaseDeltaCountsTheReferencesAndWaitsInside) {
+  Ref(0, 0, AccessKind::kRead, 0);
+  Ref(1, 0, AccessKind::kRead, 0);
+  obs::LatencyHistogram before = waits_;
+  obs_.BeginPhase("mixed", kMillisecond, stats_);
+  RunMixedSequence(kMillisecond);
+  obs_.EndPhase(2 * kMillisecond, stats_);
+  obs::LatencyHistogram inside = waits_.Since(before);
+  Ref(2, 0, AccessKind::kRead, 2 * kMillisecond);
+  EXPECT_GT(Ref(1, 0, AccessKind::kRead, 2 * kMillisecond), 0u);
+
+  const obs::Phase& phase = obs_.phases().at(0);
+  const auto& queue = phase.hist_delta[static_cast<size_t>(obs::HistKind::kModuleQueue)];
+  EXPECT_EQ(queue.count, inside.count());
+  EXPECT_EQ(queue.count, phase.delta.total_references());
+  EXPECT_EQ(queue.sum, inside.sum());
+  EXPECT_GT(queue.sum, 0u);
 }
 
 }  // namespace

@@ -291,6 +291,16 @@ TEST(ObsTest, NestedPhasesAttributeHistogramDeltas) {
   EXPECT_EQ(outer.hist_delta[kQueue].count, 0u);
 }
 
+// The module-queue histogram's zero bucket is derived from the reference
+// counters; a wait recorded without a reference breaks that identity.
+TEST(ObsDeathTest, ModuleQueueWaitWithoutAReferenceAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  obs::Observability obs(2);
+  obs.RecordLatency(obs::HistKind::kModuleQueue, 100);
+  EXPECT_DEATH((void)obs.hist(obs::HistKind::kModuleQueue),
+               "module-queue histogram holds more waits than the processors issued references");
+}
+
 TEST(ObsTest, SpanStorageIsBoundedAndDropCounted) {
   obs::Observability obs(1);
   constexpr uint64_t kTotal = 70000;  // comfortably past the span bound
@@ -331,11 +341,15 @@ TEST(ObsTest, ExportersProduceValidDocumentsFromARealRun) {
     cpu_faults += obs.cpu(p).faults;
   }
   EXPECT_EQ(cpu_faults, sys.machine.stats().faults);
+  // Both derived views cover every reference exactly once.
+  uint64_t references = sys.machine.stats().total_references();
+  EXPECT_GT(references, 0u);
+  EXPECT_EQ(obs.hist(obs::HistKind::kModuleQueue).count(), references);
   uint64_t served = 0;
   for (int m = 0; m < 4; ++m) {
-    served += obs.module(m).references_served;
+    served += obs.references_served(m);
   }
-  EXPECT_GT(served, 0u);
+  EXPECT_EQ(served, references);
 
   // The fork-join region became a closed phase with attributed faults.
   ASSERT_GE(obs.phases().size(), 1u);
