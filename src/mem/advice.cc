@@ -44,30 +44,27 @@ void CoherentMemory::PinTo(uint32_t as_id, uint32_t vpn, int node) {
                       ? machine_->scheduler().current_processor()
                       : node;
 
+  std::optional<PhysicalCopy> copy;
+  if (!page.HasCopyOn(node)) {
+    copy = AllocateFrameOn(page, node, initiator);
+    PLAT_CHECK(copy.has_value()) << "target module " << node << " full pinning cpage "
+                                 << page.id();
+  }
   if (page.state() == CpageState::kEmpty) {
     // Materialize the page directly on the target node.
-    std::optional<PhysicalCopy> copy = AllocateFrame(page, node);
-    PLAT_CHECK(copy.has_value()) << "out of physical memory pinning cpage " << page.id();
-    PLAT_CHECK_EQ(copy->module, node) << "target module full";
     std::memset(machine_->module(copy->module).FrameData(copy->frame), 0,
                 machine_->params().page_size_bytes);
     page.AddCopy(*copy);
     page.SetState(CpageState::kPresent1);  // protocol: pin-fill empty -> present1
     ++machine_->stats().initial_fills;
-  } else if (!page.HasCopyOn(node)) {
+  } else if (copy.has_value()) {
     // Move the data: invalidate every translation, copy to the target,
     // reclaim the old frames. This is a deliberate placement change, not
     // coherence interference, so the invalidation history is untouched.
-    std::optional<PhysicalCopy> copy = AllocateFrame(page, node);
-    PLAT_CHECK(copy.has_value() && copy->module == node) << "target module full";
     protocol_->ReleaseAllMappings(page, initiator);
     CopyInto(page, *copy);
-    std::vector<int> victims;
-    for (const PhysicalCopy& old : page.copies()) {
-      victims.push_back(old.module);
-    }
-    for (int module : victims) {
-      FreeCopy(page, module);
+    while (!page.copies().empty()) {
+      FreeCopy(page, page.copies().front().module);
     }
     page.AddCopy(*copy);
     page.ClearWriteMappings();
@@ -118,13 +115,9 @@ void CoherentMemory::ReplicateTo(uint32_t as_id, uint32_t vpn, int node) {
   int initiator = machine_->scheduler().current() != nullptr
                       ? machine_->scheduler().current_processor()
                       : node;
-  std::optional<PhysicalCopy> copy = AllocateFrame(page, node);
-  if (!copy.has_value() || copy->module != node) {
-    if (copy.has_value()) {
-      // Fallback landed elsewhere; undo.
-      machine_->module(copy->module).FreeFrame(copy->frame);
-    }
-    return;
+  std::optional<PhysicalCopy> copy = AllocateFrameOn(page, node, initiator);
+  if (!copy.has_value()) {
+    return;  // the target module is full
   }
   if (page.state() == CpageState::kModified) {
     protocol_->DowngradeToRead(page, initiator);

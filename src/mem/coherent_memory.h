@@ -6,7 +6,8 @@
 //   * the access path: ATC lookup -> Pmap walk -> coherent page fault;
 //   * the data-coherency protocol (empty / present1 / present+ / modified)
 //     driven by the page-fault handler, replicating, migrating or
-//     remote-mapping pages (Sections 3.2, 3.3);
+//     remote-mapping pages (Sections 3.2, 3.3) under the active coherence
+//     protocol (protocol.h), which decides how translations are taken away;
 //   * the NUMA shootdown mechanism built on private per-processor Pmaps and
 //     Cmap message queues (Section 3.1);
 //   * freezing of actively write-shared pages and the defrost daemon that
@@ -165,10 +166,11 @@ class CoherentMemory {
   void Advise(uint32_t as_id, uint32_t vpn, uint32_t npages, MemoryAdvice advice);
   // Moves the page backing `vpn` to `node` and freezes it there (for data a
   // runtime knows will be write-shared at fine grain). Charged to the caller.
+  // Aborts when the page needs a frame on `node` and the module is full.
   void PinTo(uint32_t as_id, uint32_t vpn, int node);
   // Pre-replicates the page backing `vpn` onto `node` (prefetch for
-  // read-mostly data). No-op if a copy already exists there or the page is
-  // empty. Charged to the caller.
+  // read-mostly data). No-op if a copy already exists there, the page is
+  // empty or frozen, or the module is full. Charged to the caller.
   void ReplicateTo(uint32_t as_id, uint32_t vpn, int node);
 
   // --- Defrost (Section 4.2) ---------------------------------------------------
@@ -220,10 +222,10 @@ class CoherentMemory {
   void CheckInvariants() const;
 
  private:
-  // The concrete protocols drive the private fault-resolution helpers
-  // (AllocateFrame, CopyInto, shootdown rounds, lease scrubs, ...) directly;
-  // they are the protocol layer's implementation, split into their own
-  // translation units.
+  // The concrete protocols implement how translations and copies are taken
+  // away (protocol.h). They use six private members: machine_, Trace, the two
+  // walkers RestrictCpageToRead and InvalidateMappingsToCopy, CommitShootdown
+  // and FreeCopy (plus the ShootdownRound type).
   friend class DirectoryProtocol;
   friend class TardisProtocol;
 
@@ -237,30 +239,42 @@ class CoherentMemory {
   };
 
   // ---- shootdown.cc ----
+  // One walker per kind of change, shared by shootdown rounds and lease
+  // scrubs. With a round, each collects the IPI targets, posts the Cmap
+  // messages and adds to the round's counts. With nullptr (a lease scrub,
+  // after a lease wait has guaranteed no processor still relies on the
+  // translations) each applies the same structural change with none of the
+  // round's cost model and charges per-translation directory bookkeeping.
+  // Both return the number of translations changed.
+  //
   // Downgrades every write mapping of `page` to read-only.
-  void RestrictCpageToRead(Cpage& page, int initiator, ShootdownRound* round);
-  // Removes every translation to `page`'s copy on `module`.
-  void InvalidateMappingsToCopy(Cpage& page, int module, int initiator, ShootdownRound* round);
-  // Removes every translation to `page` regardless of copy (defrost path).
-  void InvalidateAllMappings(Cpage& page, int initiator, ShootdownRound* round);
+  uint32_t RestrictCpageToRead(Cpage& page, int initiator, ShootdownRound* round);
+  // Removes every translation to `page`'s copy on `module` (module < 0: to
+  // every copy).
+  uint32_t InvalidateMappingsToCopy(Cpage& page, int module, int initiator,
+                                    ShootdownRound* round);
   // Charges the initiator for the round's IPIs and bills handler time to the
   // interrupted processors.
   void CommitShootdown(const Cpage& page, const ShootdownRound& round, int initiator);
-  // Lease-protocol scrubs: the structural effect of a shootdown with none of
-  // its cost model — no IPIs, no messages, no interrupted processors. Used
-  // after a lease wait has guaranteed no processor still relies on the
-  // translations. Each charges per-translation directory bookkeeping and
-  // returns the number of translations touched.
-  uint32_t ScrubWriteMappings(Cpage& page);                  // RW -> R everywhere
-  uint32_t ScrubMappingsToCopy(Cpage& page, int module);     // module < 0: all
-  uint32_t ScrubAllMappings(Cpage& page);
 
   // ---- fault_handler.cc ----
   AccessOutcome HandleFaultLocked(Cmap& cm, CmapEntry& entry, Cpage& page, uint32_t vpn,
                                   sim::AccessKind kind, int processor);
+  // Fault resolution, one skeleton for every protocol: fill, local-copy
+  // probe, replicate or migrate, remote map. The protocol supplies how
+  // translations are taken away and what a grant costs.
+  void ResolveReadFault(Cmap& cm, CmapEntry& entry, Cpage& page, uint32_t vpn, int processor);
+  void ResolveWriteFault(Cmap& cm, CmapEntry& entry, Cpage& page, uint32_t vpn, int processor);
+  // The copy of `page` on `processor`'s own module, located through the
+  // local inverted page table and charged as local references.
+  PhysicalCopy LocalCopy(const Cpage& page, int processor);
   // Allocates a frame for `page`, preferring `preferred_module`; falls back
   // to the page's home module, then any module. Charges probe costs.
   std::optional<PhysicalCopy> AllocateFrame(Cpage& page, int preferred_module);
+  // Allocates a frame for `page` on `module` only; nullopt when the module is
+  // full or already holds a copy. Charges the inverted-page-table probes as
+  // local references from `requester`'s node, remote ones otherwise.
+  std::optional<PhysicalCopy> AllocateFrameOn(Cpage& page, int module, int requester);
   // Creates the first physical copy of an empty page, zero-filled.
   PhysicalCopy InitialFill(Cpage& page, int processor);
   // Copies `page`'s primary copy onto `dst` with the block-transfer engine.

@@ -1,238 +1,57 @@
 // The paper's 4-state directory protocol (Sections 3.2 and 3.3), behind the
 // CoherenceProtocol interface.
 //
-// On each fault with no local copy the replication policy chooses between
-// caching the page locally (replicate on a read miss, migrate on a write
-// miss) and creating a mapping to an existing remote copy — the mechanism
-// that selectively disables caching for actively write-shared pages. Copies
-// and write mappings are taken away with shootdown rounds (Section 3.1):
-// Cmap messages plus synchronous IPIs to the processors that hold
-// translations and have the space active.
-#include <optional>
+// The fault handler (fault_handler.cc) chooses between replicating,
+// migrating and remote-mapping a page; this file supplies how the directory
+// protocol takes copies and write mappings away: shootdown rounds
+// (Section 3.1) — Cmap messages plus synchronous IPIs to the processors that
+// hold translations and have the space active. A remote reader may share a
+// writer's single copy (the page stays modified), and a granted mapping
+// costs nothing later.
 #include <vector>
 
-#include "src/base/check.h"
 #include "src/mem/coherent_memory.h"
 #include "src/mem/protocol.h"
 
 namespace platinum::mem {
 
-void DirectoryProtocol::OnReadFault(Cmap& cm, CmapEntry& entry, Cpage& page, uint32_t vpn,
-                                    int processor) {
-  CoherentMemory& m = *memory_;
-  sim::Scheduler& sched = m.machine_->scheduler();
-  const sim::MachineParams& params = m.machine_->params();
-
-  if (page.state() == CpageState::kEmpty) {
-    PhysicalCopy copy = m.InitialFill(page, processor);
-    page.AddCopy(copy);
-    page.SetState(CpageState::kPresent1);  // protocol: read-fill empty -> present1
-    ++m.machine_->stats().initial_fills;
-    ++m.machine_->obs().cpu(processor).initial_fills;
-    m.Trace(TraceEventType::kFill, page, processor, static_cast<uint32_t>(copy.module));
-    m.EnterMapping(cm, entry, page, vpn, processor, copy, hw::Rights::kRead);
-    return;
-  }
-
-  if (page.HasCopyOn(processor)) {
-    // A local copy already exists (e.g. through another address space). The
-    // handler locates it through the local inverted page table — strictly
-    // local references (Section 3.3).
-    auto probe = m.machine_->module(processor).FindFrame(page.id());
-    PLAT_CHECK(probe.has_value()) << "directory says module " << processor
-                                  << " backs cpage " << page.id() << " but no frame found";
-    m.machine_->Compute(static_cast<sim::SimTime>(probe->probes) * params.local_read_ns);
-    m.EnterMapping(cm, entry, page, vpn, processor,
-                   PhysicalCopy{static_cast<int16_t>(processor), probe->frame},
-                   hw::Rights::kRead);
-    return;
-  }
-
-  FaultInfo info{cm.as_id(), vpn, processor, /*is_write=*/false};
-  bool cache = m.DecideCache(page, info, sched.now());
-  std::optional<PhysicalCopy> frame =
-      cache ? m.AllocateFrame(page, processor) : std::nullopt;
-
-  if (frame.has_value()) {
-    // Replicate. A modified source must first be restricted to read-only so
-    // the copy cannot go stale mid-flight (modified -> present1 -> present+).
-    if (page.frozen()) {
-      m.Unfreeze(page);
-    }
-    if (page.state() == CpageState::kModified) {
-      DowngradeToRead(page, processor);
-    }
-    m.CopyInto(page, *frame);
-    page.AddCopy(*frame);
-    page.SetState(CpageState::kPresentPlus);  // protocol: replicate present1|present+ -> present+
-    ++page.stats().replications;
-    ++m.machine_->stats().replications;
-    ++m.machine_->obs().cpu(processor).replications;
-    m.Trace(TraceEventType::kReplicate, page, processor, static_cast<uint32_t>(frame->module));
-    m.EnterMapping(cm, entry, page, vpn, processor, *frame, hw::Rights::kRead);
-    return;
-  }
-
-  // Remote mapping to an existing copy; read mappings never break coherence.
-  const PhysicalCopy& copy = page.PrimaryCopy();
-  m.EnterMapping(cm, entry, page, vpn, processor, copy, hw::Rights::kRead);
-  ++page.stats().remote_maps;
-  ++m.machine_->stats().remote_maps;
-  ++m.machine_->obs().cpu(processor).remote_maps;
-  m.Trace(TraceEventType::kRemoteMap, page, processor, static_cast<uint32_t>(copy.module));
-  if (!cache) {
-    m.MaybeFreeze(page);
-  }
-}
-
-void DirectoryProtocol::OnWriteFault(Cmap& cm, CmapEntry& entry, Cpage& page, uint32_t vpn,
-                                     int processor) {
-  CoherentMemory& m = *memory_;
-  sim::Scheduler& sched = m.machine_->scheduler();
-  const sim::MachineParams& params = m.machine_->params();
-
-  if (page.state() == CpageState::kEmpty) {
-    PhysicalCopy copy = m.InitialFill(page, processor);
-    page.AddCopy(copy);
-    page.SetState(CpageState::kModified);  // protocol: write-fill empty -> modified
-    ++m.machine_->stats().initial_fills;
-    ++m.machine_->obs().cpu(processor).initial_fills;
-    m.Trace(TraceEventType::kFill, page, processor, static_cast<uint32_t>(copy.module));
-    m.EnterMapping(cm, entry, page, vpn, processor, copy, hw::Rights::kReadWrite);
-    return;
-  }
-
-  if (page.HasCopyOn(processor)) {
-    auto probe = m.machine_->module(processor).FindFrame(page.id());
-    PLAT_CHECK(probe.has_value());
-    m.machine_->Compute(static_cast<sim::SimTime>(probe->probes) * params.local_read_ns);
-    PhysicalCopy local{static_cast<int16_t>(processor), probe->frame};
-
-    if (page.state() == CpageState::kPresentPlus) {
-      // present+ -> modified: invalidate every remote copy's translations and
-      // reclaim the physical pages (Section 3.3).
-      std::vector<int> victims;
-      for (const PhysicalCopy& copy : page.copies()) {
-        if (copy.module != processor) {
-          victims.push_back(copy.module);
-        }
-      }
-      ReleaseCopyMappings(page, victims, processor);
-      for (int module : victims) {
-        m.FreeCopy(page, module);
-      }
-      page.RecordInvalidation(sched.now());
-      ++page.stats().invalidation_rounds;
-      page.SetState(CpageState::kPresent1);  // protocol: collapse present+ -> present1
-    }
-    // present1 -> modified needs neither invalidation nor reclamation — the
-    // reason the protocol distinguishes the two states (Section 3.2).
-    m.EnterMapping(cm, entry, page, vpn, processor, local, hw::Rights::kReadWrite);
-    page.SetState(CpageState::kModified);  // protocol: upgrade present1|modified -> modified
-    return;
-  }
-
-  // No local copy: migrate or map the remote copy for writing.
-  FaultInfo info{cm.as_id(), vpn, processor, /*is_write=*/true};
-  bool cache = m.DecideCache(page, info, sched.now());
-  std::optional<PhysicalCopy> frame =
-      cache ? m.AllocateFrame(page, processor) : std::nullopt;
-
-  if (frame.has_value()) {
-    // Migrate: invalidate all translations to the old copies, block-transfer
-    // the data, then reclaim the old frames.
-    if (page.frozen()) {
-      m.Unfreeze(page);
-    }
-    CoherentMemory::ShootdownRound round;
-    std::vector<int> victims;
-    for (const PhysicalCopy& copy : page.copies()) {
-      victims.push_back(copy.module);
-    }
-    for (int module : victims) {
-      m.InvalidateMappingsToCopy(page, module, processor, &round);
-    }
-    m.CommitShootdown(page, round, processor);
-    m.CopyInto(page, *frame);
-    for (int module : victims) {
-      m.FreeCopy(page, module);
-    }
-    if (round.invalidated_translations > 0) {
-      // Someone else lost a translation: interprocessor interference the
-      // replication policy should know about.
-      page.RecordInvalidation(sched.now());
-      ++page.stats().invalidation_rounds;
-    }
-    page.AddCopy(*frame);
-    // protocol: migrate present1|present+|modified -> modified
-    page.SetState(CpageState::kModified);
-    ++page.stats().migrations;
-    ++m.machine_->stats().migrations;
-    ++m.machine_->obs().cpu(processor).migrations;
-    m.Trace(TraceEventType::kMigrate, page, processor, static_cast<uint32_t>(frame->module));
-    m.EnterMapping(cm, entry, page, vpn, processor, *frame, hw::Rights::kReadWrite);
-    return;
-  }
-
-  // Remote write mapping. Writes require a single physical copy, so a
-  // replicated page first collapses to one.
-  if (page.state() == CpageState::kPresentPlus) {
-    const PhysicalCopy keep = page.PrimaryCopy();
-    std::vector<int> victims;
-    for (const PhysicalCopy& copy : page.copies()) {
-      if (copy.module != keep.module) {
-        victims.push_back(copy.module);
-      }
-    }
-    CoherentMemory::ShootdownRound round;
-    for (int module : victims) {
-      m.InvalidateMappingsToCopy(page, module, processor, &round);
-    }
-    m.CommitShootdown(page, round, processor);
-    for (int module : victims) {
-      m.FreeCopy(page, module);
-    }
-    if (round.invalidated_translations > 0) {
-      page.RecordInvalidation(sched.now());
-      ++page.stats().invalidation_rounds;
-    }
-    page.SetState(CpageState::kPresent1);  // protocol: collapse present+ -> present1
-  }
-  const PhysicalCopy& copy = page.PrimaryCopy();
-  m.EnterMapping(cm, entry, page, vpn, processor, copy, hw::Rights::kReadWrite);
-  page.SetState(CpageState::kModified);  // protocol: upgrade present1|modified -> modified
-  ++page.stats().remote_maps;
-  ++m.machine_->stats().remote_maps;
-  ++m.machine_->obs().cpu(processor).remote_maps;
-  m.Trace(TraceEventType::kRemoteMap, page, processor, static_cast<uint32_t>(copy.module));
-  if (!cache) {
-    m.MaybeFreeze(page);
-  }
-}
-
 void DirectoryProtocol::DowngradeToRead(Cpage& page, int initiator) {
-  CoherentMemory& m = *memory_;
   CoherentMemory::ShootdownRound round;
-  m.RestrictCpageToRead(page, initiator, &round);
-  m.CommitShootdown(page, round, initiator);
+  memory_->RestrictCpageToRead(page, initiator, &round);
+  memory_->CommitShootdown(page, round, initiator);
   page.SetState(CpageState::kPresent1);  // protocol: restrict modified -> present1
 }
 
-void DirectoryProtocol::ReleaseAllMappings(Cpage& page, int initiator) {
-  CoherentMemory& m = *memory_;
+uint32_t DirectoryProtocol::ReleaseAllMappings(Cpage& page, int initiator) {
   CoherentMemory::ShootdownRound round;
-  m.InvalidateAllMappings(page, initiator, &round);
-  m.CommitShootdown(page, round, initiator);
+  memory_->InvalidateMappingsToCopy(page, /*module=*/-1, initiator, &round);
+  memory_->CommitShootdown(page, round, initiator);
+  return round.invalidated_translations;
 }
 
-void DirectoryProtocol::ReleaseCopyMappings(Cpage& page, const std::vector<int>& modules,
-                                            int initiator) {
-  CoherentMemory& m = *memory_;
+uint32_t DirectoryProtocol::ReleaseCopyMappings(Cpage& page, const std::vector<int>& modules,
+                                                int initiator) {
   CoherentMemory::ShootdownRound round;
   for (int module : modules) {
-    m.InvalidateMappingsToCopy(page, module, initiator, &round);
+    memory_->InvalidateMappingsToCopy(page, module, initiator, &round);
   }
-  m.CommitShootdown(page, round, initiator);
+  memory_->CommitShootdown(page, round, initiator);
+  return round.invalidated_translations;
+}
+
+uint32_t DirectoryProtocol::Collapse(Cpage& page, int keep_module, int initiator) {
+  std::vector<int> victims;
+  for (const PhysicalCopy& copy : page.copies()) {
+    if (copy.module != keep_module) {
+      victims.push_back(copy.module);
+    }
+  }
+  uint32_t invalidated = ReleaseCopyMappings(page, victims, initiator);
+  for (int module : victims) {
+    memory_->FreeCopy(page, module);
+  }
+  page.SetState(CpageState::kPresent1);  // protocol: collapse present+ -> present1
+  return invalidated;
 }
 
 }  // namespace platinum::mem

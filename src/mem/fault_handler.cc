@@ -5,7 +5,10 @@
 // the replication policy chooses between caching the page locally
 // (replicate on a read miss, migrate on a write miss) and creating a mapping
 // to an existing remote copy — the mechanism that selectively disables
-// caching for actively write-shared pages.
+// caching for actively write-shared pages. This resolution is written once
+// for every coherence protocol; the protocol (protocol.h) supplies only how
+// translations and copies are taken away, what a granted mapping costs, and
+// whether a remote reader may share a writer's copy.
 #include <algorithm>
 #include <cstring>
 
@@ -91,46 +94,191 @@ AccessOutcome CoherentMemory::HandleFault(uint32_t as_id, uint32_t vpn, sim::Acc
 AccessOutcome CoherentMemory::HandleFaultLocked(Cmap& cm, CmapEntry& entry, Cpage& page,
                                                 uint32_t vpn, sim::AccessKind kind,
                                                 int processor) {
-  // Fault resolution — which copies to make, which to destroy, and what the
-  // page's state becomes — belongs to the coherence protocol. The handler
-  // above owns everything protocol-independent: trap cost, per-page
-  // serialization, tracing, invariant checks.
+  // Fault resolution: which copies to make, which to take away, and what the
+  // page's state becomes. The handler above owns everything around it: trap
+  // cost, per-page serialization, tracing, invariant checks.
   if (kind == sim::AccessKind::kRead) {
-    protocol_->OnReadFault(cm, entry, page, vpn, processor);
+    ResolveReadFault(cm, entry, page, vpn, processor);
   } else {
-    protocol_->OnWriteFault(cm, entry, page, vpn, processor);
+    ResolveWriteFault(cm, entry, page, vpn, processor);
   }
   return AccessOutcome::kOk;
 }
 
+void CoherentMemory::ResolveReadFault(Cmap& cm, CmapEntry& entry, Cpage& page, uint32_t vpn,
+                                      int processor) {
+  if (page.state() == CpageState::kEmpty) {
+    PhysicalCopy copy = InitialFill(page, processor);
+    page.AddCopy(copy);
+    page.SetState(CpageState::kPresent1);  // protocol: read-fill empty -> present1
+    ++machine_->stats().initial_fills;
+    ++machine_->obs().cpu(processor).initial_fills;
+    Trace(TraceEventType::kFill, page, processor, static_cast<uint32_t>(copy.module));
+    EnterMapping(cm, entry, page, vpn, processor, copy, hw::Rights::kRead);
+    protocol_->Granted(page, /*write=*/false);
+    return;
+  }
+
+  if (page.HasCopyOn(processor)) {
+    // A local copy already exists (e.g. through another address space). On
+    // the writer's own node the read shares the single writable copy.
+    EnterMapping(cm, entry, page, vpn, processor, LocalCopy(page, processor),
+                 hw::Rights::kRead);
+    protocol_->Granted(page, /*write=*/false);
+    return;
+  }
+
+  FaultInfo info{cm.as_id(), vpn, processor, /*is_write=*/false};
+  bool cache = DecideCache(page, info, machine_->scheduler().now());
+  std::optional<PhysicalCopy> frame = cache ? AllocateFrame(page, processor) : std::nullopt;
+
+  if (frame.has_value()) {
+    // Replicate. A modified source must first be restricted to read-only so
+    // the copy cannot go stale mid-flight (modified -> present1 -> present+).
+    if (page.frozen()) {
+      Unfreeze(page);
+    }
+    if (page.state() == CpageState::kModified) {
+      protocol_->DowngradeToRead(page, processor);
+    }
+    CopyInto(page, *frame);
+    page.AddCopy(*frame);
+    page.SetState(CpageState::kPresentPlus);  // protocol: replicate present1|present+ -> present+
+    ++page.stats().replications;
+    ++machine_->stats().replications;
+    ++machine_->obs().cpu(processor).replications;
+    Trace(TraceEventType::kReplicate, page, processor, static_cast<uint32_t>(frame->module));
+    EnterMapping(cm, entry, page, vpn, processor, *frame, hw::Rights::kRead);
+    protocol_->Granted(page, /*write=*/false);
+    return;
+  }
+
+  // Remote mapping to an existing copy. A read mapping never breaks
+  // coherence, but a protocol whose readers may not run beside a live
+  // writer downgrades the writer first.
+  if (page.state() == CpageState::kModified && !protocol_->RemoteReadSharesWriter()) {
+    protocol_->DowngradeToRead(page, processor);
+  }
+  const PhysicalCopy& copy = page.PrimaryCopy();
+  EnterMapping(cm, entry, page, vpn, processor, copy, hw::Rights::kRead);
+  ++page.stats().remote_maps;
+  ++machine_->stats().remote_maps;
+  ++machine_->obs().cpu(processor).remote_maps;
+  Trace(TraceEventType::kRemoteMap, page, processor, static_cast<uint32_t>(copy.module));
+  protocol_->Granted(page, /*write=*/false);
+  if (!cache) {
+    MaybeFreeze(page);
+  }
+}
+
+void CoherentMemory::ResolveWriteFault(Cmap& cm, CmapEntry& entry, Cpage& page, uint32_t vpn,
+                                       int processor) {
+  sim::Scheduler& sched = machine_->scheduler();
+
+  if (page.state() == CpageState::kEmpty) {
+    PhysicalCopy copy = InitialFill(page, processor);
+    page.AddCopy(copy);
+    page.SetState(CpageState::kModified);  // protocol: write-fill empty -> modified
+    ++machine_->stats().initial_fills;
+    ++machine_->obs().cpu(processor).initial_fills;
+    Trace(TraceEventType::kFill, page, processor, static_cast<uint32_t>(copy.module));
+    EnterMapping(cm, entry, page, vpn, processor, copy, hw::Rights::kReadWrite);
+    protocol_->Granted(page, /*write=*/true);
+    return;
+  }
+
+  if (page.HasCopyOn(processor)) {
+    PhysicalCopy local = LocalCopy(page, processor);
+    if (page.state() == CpageState::kPresentPlus) {
+      // present+ -> modified: take away every remote copy and its
+      // translations (Section 3.3) — coherence interference the replication
+      // policy should know about.
+      protocol_->Collapse(page, processor, processor);
+      page.RecordInvalidation(sched.now());
+      ++page.stats().invalidation_rounds;
+    }
+    // present1 -> modified needs neither invalidation nor reclamation — the
+    // reason the protocol distinguishes the two states (Section 3.2).
+    EnterMapping(cm, entry, page, vpn, processor, local, hw::Rights::kReadWrite);
+    page.SetState(CpageState::kModified);  // protocol: upgrade present1|modified -> modified
+    protocol_->Granted(page, /*write=*/true);
+    return;
+  }
+
+  // No local copy: migrate or map the remote copy for writing.
+  FaultInfo info{cm.as_id(), vpn, processor, /*is_write=*/true};
+  bool cache = DecideCache(page, info, sched.now());
+  std::optional<PhysicalCopy> frame = cache ? AllocateFrame(page, processor) : std::nullopt;
+
+  if (frame.has_value()) {
+    // Migrate: take away every translation to the old copies, block-transfer
+    // the data, then reclaim the old frames.
+    if (page.frozen()) {
+      Unfreeze(page);
+    }
+    uint32_t released = protocol_->ReleaseAllMappings(page, processor);
+    CopyInto(page, *frame);
+    while (!page.copies().empty()) {
+      FreeCopy(page, page.copies().front().module);
+    }
+    if (released > 0) {
+      // Someone else lost a translation: interprocessor interference the
+      // replication policy should know about.
+      page.RecordInvalidation(sched.now());
+      ++page.stats().invalidation_rounds;
+    }
+    page.AddCopy(*frame);
+    // protocol: migrate present1|present+|modified -> modified
+    page.SetState(CpageState::kModified);
+    ++page.stats().migrations;
+    ++machine_->stats().migrations;
+    ++machine_->obs().cpu(processor).migrations;
+    Trace(TraceEventType::kMigrate, page, processor, static_cast<uint32_t>(frame->module));
+    EnterMapping(cm, entry, page, vpn, processor, *frame, hw::Rights::kReadWrite);
+    protocol_->Granted(page, /*write=*/true);
+    return;
+  }
+
+  // Remote write mapping. Writes require a single physical copy, so a
+  // replicated page first collapses to one.
+  if (page.state() == CpageState::kPresentPlus &&
+      protocol_->Collapse(page, page.PrimaryCopy().module, processor) > 0) {
+    page.RecordInvalidation(sched.now());
+    ++page.stats().invalidation_rounds;
+  }
+  const PhysicalCopy& copy = page.PrimaryCopy();
+  EnterMapping(cm, entry, page, vpn, processor, copy, hw::Rights::kReadWrite);
+  page.SetState(CpageState::kModified);  // protocol: upgrade present1|modified -> modified
+  ++page.stats().remote_maps;
+  ++machine_->stats().remote_maps;
+  ++machine_->obs().cpu(processor).remote_maps;
+  Trace(TraceEventType::kRemoteMap, page, processor, static_cast<uint32_t>(copy.module));
+  protocol_->Granted(page, /*write=*/true);
+  if (!cache) {
+    MaybeFreeze(page);
+  }
+}
+
+PhysicalCopy CoherentMemory::LocalCopy(const Cpage& page, int processor) {
+  // The handler locates the copy through the local inverted page table —
+  // strictly local references (Section 3.3).
+  auto probe = machine_->module(processor).FindFrame(page.id());
+  PLAT_CHECK(probe.has_value()) << "directory says module " << processor << " backs cpage "
+                                << page.id() << " but no frame found";
+  machine_->Compute(static_cast<sim::SimTime>(probe->probes) *
+                    machine_->params().local_read_ns);
+  return PhysicalCopy{static_cast<int16_t>(processor), probe->frame};
+}
+
 std::optional<PhysicalCopy> CoherentMemory::AllocateFrame(Cpage& page, int preferred_module) {
-  const sim::MachineParams& params = machine_->params();
-  int current = machine_->scheduler().current() != nullptr
-                    ? machine_->scheduler().current_processor()
-                    : preferred_module;
-
-  auto try_module = [&](int module) -> std::optional<PhysicalCopy> {
-    if (page.HasCopyOn(module)) {
-      return std::nullopt;  // one frame per cpage per module
-    }
-    auto result = machine_->module(module).AllocFrame(page.id());
-    if (!result.has_value()) {
-      return std::nullopt;
-    }
-    // Probing the inverted page table: local references when allocating on
-    // the faulting node, remote otherwise.
-    sim::SimTime per_probe =
-        module == current ? params.local_read_ns : params.remote_read_ns;
-    machine_->Compute(static_cast<sim::SimTime>(result->probes) * per_probe);
-    ++machine_->obs().module(module).frames_allocated;
-    return PhysicalCopy{static_cast<int16_t>(module), result->frame};
-  };
-
-  if (auto copy = try_module(preferred_module)) {
+  int requester = machine_->scheduler().current() != nullptr
+                      ? machine_->scheduler().current_processor()
+                      : preferred_module;
+  if (auto copy = AllocateFrameOn(page, preferred_module, requester)) {
     return copy;
   }
   if (page.home_module() != preferred_module) {
-    if (auto copy = try_module(page.home_module())) {
+    if (auto copy = AllocateFrameOn(page, page.home_module(), requester)) {
       return copy;
     }
   }
@@ -138,11 +286,29 @@ std::optional<PhysicalCopy> CoherentMemory::AllocateFrame(Cpage& page, int prefe
     if (module == preferred_module || module == page.home_module()) {
       continue;
     }
-    if (auto copy = try_module(module)) {
+    if (auto copy = AllocateFrameOn(page, module, requester)) {
       return copy;
     }
   }
   return std::nullopt;
+}
+
+std::optional<PhysicalCopy> CoherentMemory::AllocateFrameOn(Cpage& page, int module,
+                                                            int requester) {
+  if (page.HasCopyOn(module)) {
+    return std::nullopt;  // one frame per cpage per module
+  }
+  auto result = machine_->module(module).AllocFrame(page.id());
+  if (!result.has_value()) {
+    return std::nullopt;
+  }
+  // Probing the inverted page table: local references when allocating on the
+  // requester's node, remote otherwise.
+  const sim::MachineParams& params = machine_->params();
+  sim::SimTime per_probe = module == requester ? params.local_read_ns : params.remote_read_ns;
+  machine_->Compute(static_cast<sim::SimTime>(result->probes) * per_probe);
+  ++machine_->obs().module(module).frames_allocated;
+  return PhysicalCopy{static_cast<int16_t>(module), result->frame};
 }
 
 PhysicalCopy CoherentMemory::InitialFill(Cpage& page, int processor) {

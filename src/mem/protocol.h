@@ -1,10 +1,15 @@
 // The pluggable coherence-protocol layer.
 //
-// A CoherenceProtocol owns the page-state transitions of the coherent-memory
-// abstraction: how a read or write fault with no usable translation resolves,
-// and how existing copies or write mappings are taken away when a transition
-// needs them gone. CoherentMemory's fault handler, defrost scanner and advice
-// paths call through this interface only; the concrete protocols are
+// CoherentMemory's fault handler resolves every fault with one skeleton
+// (fault_handler.cc): fill, local-copy probe, replicate, migrate, remote map.
+// A CoherenceProtocol owns only what differs between protocols: how
+// translations and copies are taken away when a transition needs them gone
+// (DowngradeToRead, ReleaseAllMappings, ReleaseCopyMappings, Collapse), what
+// a granted mapping costs later (Granted), and whether a remote reader may
+// share a writer's copy (RemoteReadSharesWriter). The fault handler, defrost
+// scanner and advice paths take translations away only through this
+// interface (UnbindPage drops the unbound page's own translations directly);
+// the concrete protocols are
 //
 //   * DirectoryProtocol — the paper's 4-state directory protocol with
 //     shootdown IPIs and freeze/defrost (Sections 3.2-4.2);
@@ -28,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "src/mem/cmap.h"
 #include "src/mem/cpage.h"
 #include "src/mem/protocol_spec.h"
 #include "src/sim/time.h"
@@ -85,25 +89,32 @@ class CoherenceProtocol {
   // daemon). The advice path skips its pin-freeze and the fault path skips
   // MaybeFreeze when false.
   virtual bool UsesFreezing() const = 0;
+  // Whether a read fault may map a modified page's single copy remotely
+  // while the writer keeps its write mapping. When false, the fault handler
+  // downgrades the writer (DowngradeToRead) before such a remote map.
+  virtual bool RemoteReadSharesWriter() const = 0;
 
-  // Fault resolution. On return the faulting processor holds a translation
-  // permitting the access; all costs are charged to the faulting fiber.
-  virtual void OnReadFault(Cmap& cm, CmapEntry& entry, Cpage& page, uint32_t vpn,
-                           int processor) = 0;
-  virtual void OnWriteFault(Cmap& cm, CmapEntry& entry, Cpage& page, uint32_t vpn,
-                            int processor) = 0;
+  // Called after every mapping the fault handler enters for `page`; `write`
+  // is true for a read-write mapping.
+  virtual void Granted(Cpage& page, bool write) = 0;
 
   // Takes the page from modified to present1: every write mapping becomes
   // read-only (shootdown round under the directory protocol, lease wait +
   // host-side scrub under Tardis) and the protocol state is updated.
   virtual void DowngradeToRead(Cpage& page, int initiator) = 0;
-  // Removes every translation to the page (defrost / pin-migrate paths).
-  // Leaves write_mappings at zero; does not change the protocol state.
-  virtual void ReleaseAllMappings(Cpage& page, int initiator) = 0;
+  // Removes every translation to the page (migrate, defrost and pin-migrate
+  // paths). Leaves write_mappings at zero; does not change the protocol
+  // state. Returns the number of translations taken away.
+  virtual uint32_t ReleaseAllMappings(Cpage& page, int initiator) = 0;
   // Removes every translation to the page's copies on `modules` (collapse
-  // paths). Does not change the protocol state.
-  virtual void ReleaseCopyMappings(Cpage& page, const std::vector<int>& modules,
-                                   int initiator) = 0;
+  // paths). Does not change the protocol state. Returns the number of
+  // translations taken away.
+  virtual uint32_t ReleaseCopyMappings(Cpage& page, const std::vector<int>& modules,
+                                       int initiator) = 0;
+  // Collapses a replicated page to its copy on `keep_module`: releases the
+  // translations to every other copy, frees those copies and sets present1.
+  // Returns the number of translations taken away.
+  virtual uint32_t Collapse(Cpage& page, int keep_module, int initiator) = 0;
 
   void Attach(CoherentMemory* memory) { memory_ = memory; }
 
@@ -119,15 +130,14 @@ class DirectoryProtocol : public CoherenceProtocol {
   const char* name() const override { return "directory"; }
   ProtocolKind kind() const override { return ProtocolKind::kDirectory; }
   bool UsesFreezing() const override { return true; }
+  bool RemoteReadSharesWriter() const override { return true; }
 
-  void OnReadFault(Cmap& cm, CmapEntry& entry, Cpage& page, uint32_t vpn,
-                   int processor) override;
-  void OnWriteFault(Cmap& cm, CmapEntry& entry, Cpage& page, uint32_t vpn,
-                    int processor) override;
+  void Granted(Cpage&, bool) override {}
   void DowngradeToRead(Cpage& page, int initiator) override;
-  void ReleaseAllMappings(Cpage& page, int initiator) override;
-  void ReleaseCopyMappings(Cpage& page, const std::vector<int>& modules,
-                           int initiator) override;
+  uint32_t ReleaseAllMappings(Cpage& page, int initiator) override;
+  uint32_t ReleaseCopyMappings(Cpage& page, const std::vector<int>& modules,
+                               int initiator) override;
+  uint32_t Collapse(Cpage& page, int keep_module, int initiator) override;
 };
 
 // Timestamp/lease protocol: transitions that the directory protocol resolves
@@ -141,15 +151,16 @@ class TardisProtocol : public CoherenceProtocol {
   const char* name() const override { return "tardis"; }
   ProtocolKind kind() const override { return ProtocolKind::kTardis; }
   bool UsesFreezing() const override { return false; }
+  bool RemoteReadSharesWriter() const override { return false; }
 
-  void OnReadFault(Cmap& cm, CmapEntry& entry, Cpage& page, uint32_t vpn,
-                   int processor) override;
-  void OnWriteFault(Cmap& cm, CmapEntry& entry, Cpage& page, uint32_t vpn,
-                    int processor) override;
+  // Extends the page's aggregate read lease, or stamps the write lease, per
+  // the lease policy.
+  void Granted(Cpage& page, bool write) override;
   void DowngradeToRead(Cpage& page, int initiator) override;
-  void ReleaseAllMappings(Cpage& page, int initiator) override;
-  void ReleaseCopyMappings(Cpage& page, const std::vector<int>& modules,
-                           int initiator) override;
+  uint32_t ReleaseAllMappings(Cpage& page, int initiator) override;
+  uint32_t ReleaseCopyMappings(Cpage& page, const std::vector<int>& modules,
+                               int initiator) override;
+  uint32_t Collapse(Cpage& page, int keep_module, int initiator) override;
 
   LeasePolicy& lease_policy() { return *lease_policy_; }
 
@@ -164,10 +175,6 @@ class TardisProtocol : public CoherenceProtocol {
   // Advances simulated time to the expiry of the given lease bound; the
   // fault-path replacement for a shootdown round's IPI round-trip.
   void WaitForLeaseExpiry(Cpage& page, sim::SimTime until);
-  // Extends the page's aggregate read (or write) lease after a successful
-  // mapping, per the lease policy.
-  void GrantReadLease(Cpage& page);
-  void GrantWriteLease(Cpage& page);
 
   std::unique_ptr<LeasePolicy> lease_policy_;
   std::vector<PageLease> leases_;  // indexed by cpage id, grown on demand

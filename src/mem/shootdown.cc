@@ -11,6 +11,10 @@
 // processor cannot touch the page before activating, so this is
 // behaviour-preserving); the *cost* model follows the paper: a setup charge
 // per synchronous round plus ~7 us per interrupted processor.
+//
+// A lease protocol runs the same two walkers without a round, after its
+// lease wait: the same structural change, no messages and no IPIs, with only
+// the per-translation directory bookkeeping charged.
 #include <bit>
 
 #include "src/base/check.h"
@@ -18,7 +22,9 @@
 
 namespace platinum::mem {
 
-void CoherentMemory::RestrictCpageToRead(Cpage& page, int initiator, ShootdownRound* round) {
+uint32_t CoherentMemory::RestrictCpageToRead(Cpage& page, int initiator,
+                                             ShootdownRound* round) {
+  uint32_t restricted = 0;
   for (const CpageMapper& mapper : page.mappers()) {
     Cmap& cm = cmap(mapper.as_id);
     CmapEntry& entry = cm.entry(mapper.vpn);
@@ -37,26 +43,34 @@ void CoherentMemory::RestrictCpageToRead(Cpage& page, int initiator, ShootdownRo
       page.DropWriteMapping();
       mmus_[p].atc().FlushPage(mapper.as_id, mapper.vpn);
       changed |= uint64_t{1} << p;
-      ++round->restricted_translations;
+      ++restricted;
       ++machine_->stats().mappings_restricted;
-      if (p != initiator && cm.IsActive(p)) {
+      if (round != nullptr && p != initiator && cm.IsActive(p)) {
         round->interrupted_mask |= uint64_t{1} << p;
       }
     }
     uint64_t lazy = changed & ~cm.active_mask();
-    if (changed != 0) {
+    if (round != nullptr && changed != 0) {
       cm.PostMessage(CmapMessage{mapper.vpn, CmapMessage::Directive::kRestrictToRead, lazy});
       if (lazy != 0) {
         ++round->messages_posted;
       }
     }
   }
-  PLAT_CHECK_EQ(page.write_mappings(), 0u) << "restrict left write mappings on cpage "
-                                           << page.id();
+  PLAT_CHECK_EQ(page.write_mappings(), 0u)
+      << (round != nullptr ? "restrict" : "scrub") << " left write mappings on cpage "
+      << page.id();
+  if (round != nullptr) {
+    round->restricted_translations += restricted;
+  } else {
+    machine_->Compute(static_cast<sim::SimTime>(restricted) * machine_->params().local_read_ns);
+  }
+  return restricted;
 }
 
-void CoherentMemory::InvalidateMappingsToCopy(Cpage& page, int module, int initiator,
-                                              ShootdownRound* round) {
+uint32_t CoherentMemory::InvalidateMappingsToCopy(Cpage& page, int module, int initiator,
+                                                  ShootdownRound* round) {
+  uint32_t invalidated = 0;
   for (const CpageMapper& mapper : page.mappers()) {
     Cmap& cm = cmap(mapper.as_id);
     CmapEntry& entry = cm.entry(mapper.vpn);
@@ -78,91 +92,26 @@ void CoherentMemory::InvalidateMappingsToCopy(Cpage& page, int module, int initi
       entry.reference_mask &= ~(uint64_t{1} << p);
       mmus_[p].atc().FlushPage(mapper.as_id, mapper.vpn);
       changed |= uint64_t{1} << p;
-      ++round->invalidated_translations;
+      ++invalidated;
       ++machine_->stats().mappings_invalidated;
-      if (p != initiator && cm.IsActive(p)) {
+      if (round != nullptr && p != initiator && cm.IsActive(p)) {
         round->interrupted_mask |= uint64_t{1} << p;
       }
     }
     uint64_t lazy = changed & ~cm.active_mask();
-    if (changed != 0) {
+    if (round != nullptr && changed != 0) {
       cm.PostMessage(CmapMessage{mapper.vpn, CmapMessage::Directive::kInvalidate, lazy});
       if (lazy != 0) {
         ++round->messages_posted;
       }
     }
   }
-}
-
-void CoherentMemory::InvalidateAllMappings(Cpage& page, int initiator, ShootdownRound* round) {
-  InvalidateMappingsToCopy(page, /*module=*/-1, initiator, round);
-}
-
-uint32_t CoherentMemory::ScrubWriteMappings(Cpage& page) {
-  // The structural half of RestrictCpageToRead, used by lease protocols
-  // after the write lease has expired: the writer is no longer entitled to
-  // the RW translation, so it is downgraded host-side — no messages, no
-  // IPIs, no interrupted processors. Only the per-translation directory
-  // bookkeeping is charged.
-  uint32_t scrubbed = 0;
-  for (const CpageMapper& mapper : page.mappers()) {
-    Cmap& cm = cmap(mapper.as_id);
-    CmapEntry& entry = cm.entry(mapper.vpn);
-    for (int p = 0; p < machine_->num_nodes(); ++p) {
-      if (((entry.reference_mask >> p) & 1) == 0) {
-        continue;
-      }
-      hw::Pmap& pmap = cm.pmap(p);
-      const hw::PmapEntry& pe = pmap.entry(mapper.vpn);
-      PLAT_CHECK(pe.valid) << "reference mask bit without translation";
-      if (pe.rights != hw::Rights::kReadWrite) {
-        continue;
-      }
-      pmap.Restrict(mapper.vpn, hw::Rights::kRead);
-      page.DropWriteMapping();
-      mmus_[p].atc().FlushPage(mapper.as_id, mapper.vpn);
-      ++scrubbed;
-      ++machine_->stats().mappings_restricted;
-    }
+  if (round != nullptr) {
+    round->invalidated_translations += invalidated;
+  } else {
+    machine_->Compute(static_cast<sim::SimTime>(invalidated) * machine_->params().local_read_ns);
   }
-  PLAT_CHECK_EQ(page.write_mappings(), 0u) << "scrub left write mappings on cpage "
-                                           << page.id();
-  machine_->Compute(static_cast<sim::SimTime>(scrubbed) * machine_->params().local_read_ns);
-  return scrubbed;
-}
-
-uint32_t CoherentMemory::ScrubMappingsToCopy(Cpage& page, int module) {
-  // The structural half of InvalidateMappingsToCopy, after a lease wait.
-  uint32_t scrubbed = 0;
-  for (const CpageMapper& mapper : page.mappers()) {
-    Cmap& cm = cmap(mapper.as_id);
-    CmapEntry& entry = cm.entry(mapper.vpn);
-    for (int p = 0; p < machine_->num_nodes(); ++p) {
-      if (((entry.reference_mask >> p) & 1) == 0) {
-        continue;
-      }
-      hw::Pmap& pmap = cm.pmap(p);
-      const hw::PmapEntry& pe = pmap.entry(mapper.vpn);
-      PLAT_CHECK(pe.valid) << "reference mask bit without translation";
-      if (module >= 0 && pe.module != module) {
-        continue;
-      }
-      if (pe.rights == hw::Rights::kReadWrite) {
-        page.DropWriteMapping();
-      }
-      pmap.Remove(mapper.vpn);
-      entry.reference_mask &= ~(uint64_t{1} << p);
-      mmus_[p].atc().FlushPage(mapper.as_id, mapper.vpn);
-      ++scrubbed;
-      ++machine_->stats().mappings_invalidated;
-    }
-  }
-  machine_->Compute(static_cast<sim::SimTime>(scrubbed) * machine_->params().local_read_ns);
-  return scrubbed;
-}
-
-uint32_t CoherentMemory::ScrubAllMappings(Cpage& page) {
-  return ScrubMappingsToCopy(page, /*module=*/-1);
+  return invalidated;
 }
 
 void CoherentMemory::CommitShootdown(const Cpage& page, const ShootdownRound& round,

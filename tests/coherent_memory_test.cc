@@ -28,7 +28,9 @@ using test::TestSystem;
 class CoherentMemoryTest : public ::testing::Test {
  protected:
   CoherentMemoryTest() : CoherentMemoryTest(sim::ButterflyPlusParams(4)) {}
-  explicit CoherentMemoryTest(const sim::MachineParams& params) : sys_(params) {
+  explicit CoherentMemoryTest(const sim::MachineParams& params,
+                              kernel::KernelOptions options = {})
+      : sys_(params, std::move(options)) {
     space_ = sys_.kernel.CreateAddressSpace("test-space");
     zone_ = std::make_unique<rt::ZoneAllocator>(&sys_.kernel, space_);
   }
@@ -396,6 +398,261 @@ TEST_F(FrameReuseTest, PinZeroesAReusedFrame) {
   At(0, 0, [&] { EXPECT_EQ(arr.Get(3), 0u); });
   RunAndCheck();
 }
+
+// The fault branches under each coherence protocol. Both protocols run one
+// fault-resolution path, so every branch but two leaves the same page state,
+// copies and write mappings under either; the last two cases pin the
+// branches where they differ (docs/PROTOCOL.md).
+class FaultBranchTest : public CoherentMemoryTest,
+                        public ::testing::WithParamInterface<std::string> {
+ protected:
+  FaultBranchTest() : CoherentMemoryTest(sim::ButterflyPlusParams(4), Options(GetParam())) {
+    sys_.kernel.memory().EnableTracing(1024);
+  }
+
+  static kernel::KernelOptions Options(const std::string& protocol) {
+    kernel::KernelOptions options;
+    options.protocol = protocol;
+    return options;
+  }
+
+  bool directory() const { return GetParam() == "directory"; }
+
+  // The modules holding a copy of the page, in ascending order.
+  std::vector<int> CopyModules(uint32_t id) {
+    std::vector<int> modules;
+    for (const mem::PhysicalCopy& copy : page(id).copies()) {
+      modules.push_back(copy.module);
+    }
+    std::sort(modules.begin(), modules.end());
+    return modules;
+  }
+
+  // The rights `processor` holds on `arr`'s page (kNone without a translation).
+  hw::Rights RightsOn(int processor, const rt::SharedArray<uint32_t>& arr) {
+    uint32_t vpn = arr.base_va() / sys_.kernel.page_size();
+    const hw::PmapEntry& pe =
+        sys_.kernel.memory().cmap(space_->id()).pmap(processor).entry(vpn);
+    return pe.valid ? pe.rights : hw::Rights::kNone;
+  }
+
+  size_t Events(mem::TraceEventType type) {
+    std::vector<mem::TraceEvent> events = sys_.kernel.memory().trace()->Snapshot();
+    return static_cast<size_t>(std::count_if(events.begin(), events.end(),
+                                             [type](const mem::TraceEvent& e) {
+                                               return e.type == type;
+                                             }));
+  }
+};
+
+TEST_P(FaultBranchTest, FirstReadFillsPresent1) {
+  uint32_t id;
+  auto arr = NewPage("p", &id);
+  At(2, 0, [&] { EXPECT_EQ(arr.Get(1), 0u); });
+  RunAndCheck();
+  EXPECT_EQ(page(id).state(), CpageState::kPresent1);
+  EXPECT_EQ(CopyModules(id), std::vector<int>{2});
+  EXPECT_EQ(page(id).write_mappings(), 0u);
+  EXPECT_EQ(RightsOn(2, arr), hw::Rights::kRead);
+  EXPECT_EQ(Events(mem::TraceEventType::kFill), 1u);
+}
+
+TEST_P(FaultBranchTest, FirstWriteFillsModified) {
+  uint32_t id;
+  auto arr = NewPage("p", &id);
+  At(1, 0, [&] {
+    arr.Set(0, 77);
+    EXPECT_EQ(arr.Get(0), 77u);
+  });
+  RunAndCheck();
+  EXPECT_EQ(page(id).state(), CpageState::kModified);
+  EXPECT_EQ(CopyModules(id), std::vector<int>{1});
+  EXPECT_EQ(page(id).write_mappings(), 1u);
+  EXPECT_EQ(RightsOn(1, arr), hw::Rights::kReadWrite);
+  EXPECT_EQ(Events(mem::TraceEventType::kFill), 1u);
+}
+
+TEST_P(FaultBranchTest, LocalCopyFoundThroughOtherAddressSpace) {
+  auto* object = sys_.kernel.CreateMemoryObject("shared", 1);
+  auto* space_b = sys_.kernel.CreateAddressSpace("space-b");
+  sys_.kernel.Map(space_, object, 0, 1, 100, hw::Rights::kReadWrite);
+  sys_.kernel.Map(space_b, object, 0, 1, 50, hw::Rights::kReadWrite);
+  sys_.kernel.SpawnThread(space_, 2, "writer", [&] {
+    sys_.kernel.WriteWord(space_, 100 * sys_.kernel.page_size(), 7);
+  });
+  sys_.kernel.SpawnThread(space_b, 2, "reader", [&] {
+    sys_.machine.scheduler().Sleep(1 * kMillisecond);
+    EXPECT_EQ(sys_.kernel.ReadWord(space_b, 50 * sys_.kernel.page_size()), 7u);
+  });
+  RunAndCheck();
+  uint32_t id = object->cpage(0);
+  EXPECT_EQ(page(id).state(), CpageState::kModified);
+  EXPECT_EQ(CopyModules(id), std::vector<int>{2});
+  EXPECT_EQ(page(id).write_mappings(), 1u);
+  EXPECT_EQ(sys_.machine.stats().replications, 0u);
+  EXPECT_EQ(sys_.machine.stats().remote_maps, 0u);
+}
+
+TEST_P(FaultBranchTest, ReadMissReplicatesModifiedPage) {
+  uint32_t id;
+  auto arr = NewPage("p", &id);
+  At(0, 0, [&] { arr.Set(0, 123); });
+  At(1, 2 * kMillisecond, [&] { EXPECT_EQ(arr.Get(0), 123u); });
+  RunAndCheck();
+  EXPECT_EQ(page(id).state(), CpageState::kPresentPlus);
+  EXPECT_EQ(CopyModules(id), (std::vector<int>{0, 1}));
+  EXPECT_EQ(page(id).write_mappings(), 0u);
+  EXPECT_EQ(RightsOn(0, arr), hw::Rights::kRead);
+  EXPECT_EQ(RightsOn(1, arr), hw::Rights::kRead);
+  EXPECT_EQ(sys_.machine.stats().replications, 1u);
+  EXPECT_EQ(sys_.machine.stats().mappings_restricted, 1u);
+  EXPECT_FALSE(page(id).ever_invalidated());
+}
+
+TEST_P(FaultBranchTest, LocalUpgradeFromPresent1) {
+  uint32_t id;
+  auto arr = NewPage("p", &id);
+  At(2, 0, [&] {
+    arr.Get(0);
+    arr.Set(0, 9);
+    EXPECT_EQ(arr.Get(0), 9u);
+  });
+  RunAndCheck();
+  EXPECT_EQ(page(id).state(), CpageState::kModified);
+  EXPECT_EQ(CopyModules(id), std::vector<int>{2});
+  EXPECT_EQ(page(id).write_mappings(), 1u);
+  EXPECT_EQ(RightsOn(2, arr), hw::Rights::kReadWrite);
+  EXPECT_EQ(sys_.machine.stats().pages_freed, 0u);
+  EXPECT_EQ(page(id).stats().invalidation_rounds, 0u);
+}
+
+TEST_P(FaultBranchTest, LocalUpgradeFromPresentPlusCollapses) {
+  uint32_t id;
+  auto arr = NewPage("p", &id);
+  At(0, 0, [&] { arr.Set(0, 5); });
+  At(1, 2 * kMillisecond, [&] { EXPECT_EQ(arr.Get(0), 5u); });
+  At(0, 4 * kMillisecond, [&] {
+    arr.Set(0, 6);
+    EXPECT_EQ(arr.Get(0), 6u);
+  });
+  RunAndCheck();
+  EXPECT_EQ(page(id).state(), CpageState::kModified);
+  EXPECT_EQ(CopyModules(id), std::vector<int>{0});
+  EXPECT_EQ(page(id).write_mappings(), 1u);
+  EXPECT_EQ(RightsOn(0, arr), hw::Rights::kReadWrite);
+  EXPECT_EQ(RightsOn(1, arr), hw::Rights::kNone);
+  EXPECT_EQ(sys_.machine.stats().pages_freed, 1u);
+  EXPECT_EQ(sys_.machine.stats().mappings_invalidated, 1u);
+  EXPECT_EQ(page(id).stats().invalidation_rounds, 1u);
+  EXPECT_TRUE(page(id).ever_invalidated());
+}
+
+TEST_P(FaultBranchTest, WriteMissMigrates) {
+  uint32_t id;
+  auto arr = NewPage("p", &id);
+  At(0, 0, [&] { arr.Set(2, 42); });
+  At(3, 15 * kMillisecond, [&] {
+    arr.Set(3, 43);
+    EXPECT_EQ(arr.Get(2), 42u);
+  });
+  RunAndCheck();
+  EXPECT_EQ(page(id).state(), CpageState::kModified);
+  EXPECT_EQ(CopyModules(id), std::vector<int>{3});
+  EXPECT_EQ(page(id).write_mappings(), 1u);
+  EXPECT_EQ(RightsOn(3, arr), hw::Rights::kReadWrite);
+  EXPECT_EQ(sys_.machine.stats().migrations, 1u);
+  EXPECT_EQ(sys_.machine.stats().pages_freed, 1u);
+}
+
+TEST_P(FaultBranchTest, RemoteWriteCollapsesReplicas) {
+  uint32_t id;
+  auto arr = NewPage("p", &id);
+  At(0, 0, [&] { arr.Set(0, 5); });
+  At(1, 2 * kMillisecond, [&] { EXPECT_EQ(arr.Get(0), 5u); });
+  RunAndCheck();
+  ASSERT_EQ(CopyModules(id), (std::vector<int>{0, 1}));
+  // Write-shared advice makes processor 2's write miss map the page remotely.
+  sys_.kernel.AdviseMemory(space_, arr.base_va(), 4, mem::MemoryAdvice::kWriteShared);
+  At(2, 0, [&] {
+    arr.Set(0, 7);
+    EXPECT_EQ(arr.Get(0), 7u);
+  });
+  At(0, 1 * kMillisecond, [&] { EXPECT_EQ(arr.Get(0), 7u); });
+  RunAndCheck();
+  EXPECT_EQ(page(id).state(), CpageState::kModified);
+  EXPECT_EQ(CopyModules(id), std::vector<int>{0});
+  EXPECT_EQ(page(id).write_mappings(), 1u);
+  EXPECT_EQ(RightsOn(2, arr), hw::Rights::kReadWrite);
+  EXPECT_EQ(RightsOn(1, arr), hw::Rights::kNone);
+  EXPECT_EQ(sys_.machine.stats().remote_maps, 1u);
+  EXPECT_EQ(sys_.machine.stats().pages_freed, 1u);
+  EXPECT_EQ(page(id).stats().invalidation_rounds, 1u);
+}
+
+// A remote read of a page another processor holds modified, with caching
+// declined: the directory protocol lets the reader share the writer's copy;
+// Tardis waits out the write lease and downgrades the writer first.
+TEST_P(FaultBranchTest, DeclinedRemoteReadOfModifiedPage) {
+  uint32_t id;
+  auto arr = NewPage("p", &id);
+  sys_.kernel.AdviseMemory(space_, arr.base_va(), 4, mem::MemoryAdvice::kWriteShared);
+  At(0, 0, [&] { arr.Set(0, 5); });
+  At(1, 2 * kMillisecond, [&] { EXPECT_EQ(arr.Get(0), 5u); });
+  RunAndCheck();
+  EXPECT_EQ(CopyModules(id), std::vector<int>{0});
+  EXPECT_EQ(RightsOn(1, arr), hw::Rights::kRead);
+  EXPECT_EQ(sys_.machine.stats().remote_maps, 1u);
+  if (directory()) {
+    EXPECT_EQ(page(id).state(), CpageState::kModified);
+    EXPECT_EQ(page(id).write_mappings(), 1u);
+    EXPECT_EQ(RightsOn(0, arr), hw::Rights::kReadWrite);
+    EXPECT_EQ(Events(mem::TraceEventType::kLeaseExpire), 0u);
+  } else {
+    EXPECT_EQ(page(id).state(), CpageState::kPresent1);
+    EXPECT_EQ(page(id).write_mappings(), 0u);
+    EXPECT_EQ(RightsOn(0, arr), hw::Rights::kRead);
+    EXPECT_EQ(Events(mem::TraceEventType::kLeaseExpire), 1u);
+  }
+}
+
+// A write miss that migrates a page whose copy another active processor
+// maps: a shootdown round under the directory protocol, a lease expiry and
+// no interrupt under Tardis. Both count it as coherence interference.
+TEST_P(FaultBranchTest, MigrateTakesAwayAMappedCopy) {
+  uint32_t id;
+  auto arr = NewPage("p", &id);
+  At(0, 0, [&] {
+    arr.Set(2, 42);
+    sys_.machine.scheduler().Sleep(30 * kMillisecond);  // keeps the space active
+  });
+  At(3, 15 * kMillisecond, [&] {
+    arr.Set(3, 43);
+    EXPECT_EQ(arr.Get(2), 42u);
+  });
+  RunAndCheck();
+  EXPECT_EQ(page(id).state(), CpageState::kModified);
+  EXPECT_EQ(CopyModules(id), std::vector<int>{3});
+  EXPECT_EQ(page(id).write_mappings(), 1u);
+  EXPECT_EQ(RightsOn(0, arr), hw::Rights::kNone);
+  EXPECT_EQ(sys_.machine.stats().migrations, 1u);
+  EXPECT_EQ(page(id).stats().invalidation_rounds, 1u);
+  if (directory()) {
+    EXPECT_EQ(Events(mem::TraceEventType::kShootdown), 1u);
+    EXPECT_EQ(Events(mem::TraceEventType::kLeaseExpire), 0u);
+    EXPECT_EQ(sys_.machine.stats().shootdowns, 1u);
+    EXPECT_EQ(sys_.machine.stats().ipis_sent, 1u);
+  } else {
+    EXPECT_EQ(Events(mem::TraceEventType::kShootdown), 0u);
+    EXPECT_EQ(Events(mem::TraceEventType::kLeaseExpire), 1u);
+    EXPECT_EQ(sys_.machine.stats().shootdowns, 0u);
+    EXPECT_EQ(sys_.machine.stats().ipis_sent, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, FaultBranchTest, ::testing::Values("directory", "tardis"),
+                         [](const ::testing::TestParamInfo<std::string>& param) {
+                           return param.param;
+                         });
 
 // End-to-end coherence: random reads/writes from all processors must always
 // observe the value of the most recent write in simulation order.

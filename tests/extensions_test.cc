@@ -152,6 +152,67 @@ TEST_F(ExtensionsTest, ExplicitThawUnfreezes) {
   RunAndCheck();
 }
 
+// A prefetch onto a full module does nothing: no frame is taken elsewhere,
+// no probe is charged, and the frame accounting stays balanced.
+TEST(ReplicateToFullModuleTest, ChargesNothingAndLeavesThePage) {
+  sim::MachineParams params = sim::ButterflyPlusParams(4);
+  params.frames_per_module = 8;
+  TestSystem sys(params);
+  auto* space = sys.kernel.CreateAddressSpace("s");
+  auto* filler = sys.kernel.CreateMemoryObject("filler", 8);
+  auto* target = sys.kernel.CreateMemoryObject("target", 1, /*home_module=*/2);
+  sys.kernel.Map(space, filler, 0, 8, 100, hw::Rights::kReadWrite);
+  sys.kernel.Map(space, target, 0, 1, 200, hw::Rights::kReadWrite);
+  const uint32_t page_size = sys.kernel.page_size();
+  // Eight first writes from processor 1 take every frame of module 1.
+  test::RunInThread(sys.kernel, space, 1, [&] {
+    for (uint32_t i = 0; i < 8; ++i) {
+      sys.kernel.WriteWord(space, (100 + i) * page_size, i);
+    }
+  });
+  ASSERT_EQ(sys.machine.module(1).free_frames(), 0u);
+
+  test::RunInThread(sys.kernel, space, 0, [&] {
+    sys.kernel.WriteWord(space, 200 * page_size, 9);
+    sim::SimTime before = sys.machine.scheduler().now();
+    sys.kernel.ReplicateMemory(space, 200 * page_size, /*node=*/1);
+    EXPECT_EQ(sys.machine.scheduler().now(), before);
+  });
+  sys.kernel.memory().CheckInvariants();
+  const mem::Cpage& page = sys.kernel.memory().cpages().at(target->cpage(0));
+  EXPECT_EQ(page.state(), CpageState::kModified);
+  ASSERT_EQ(page.copies().size(), 1u);
+  EXPECT_EQ(page.copies()[0].module, 0);
+  EXPECT_EQ(sys.machine.stats().replications, 0u);
+  for (int m = 0; m < 4; ++m) {
+    const obs::ModuleCounters& counters = sys.machine.obs().module(m);
+    const sim::MemoryModule& module = sys.machine.module(m);
+    EXPECT_EQ(counters.frames_allocated - counters.frames_freed,
+              module.num_frames() - module.free_frames())
+        << "module " << m;
+  }
+}
+
+TEST(PinToFullModuleDeathTest, AbortNamesTheModuleAndTheCpage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        sim::MachineParams params = sim::ButterflyPlusParams(2);
+        params.frames_per_module = 1;
+        TestSystem sys(params);
+        auto* space = sys.kernel.CreateAddressSpace("s");
+        auto* filler = sys.kernel.CreateMemoryObject("filler", 1);
+        auto* target = sys.kernel.CreateMemoryObject("target", 1);
+        sys.kernel.Map(space, filler, 0, 1, 10, hw::Rights::kReadWrite);
+        sys.kernel.Map(space, target, 0, 1, 20, hw::Rights::kReadWrite);
+        test::RunInThread(sys.kernel, space, 1, [&] {
+          sys.kernel.WriteWord(space, 10 * sys.kernel.page_size(), 1);
+        });
+        sys.kernel.PinMemory(space, 20 * sys.kernel.page_size(), /*node=*/1);
+      },
+      "target module 1 full pinning cpage 1");
+}
+
 TEST(AdaptiveDefrostTest, PageStaysFrozenForFullT2) {
   sim::MachineParams params = sim::ButterflyPlusParams(4);
   params.adaptive_defrost = true;
