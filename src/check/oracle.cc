@@ -16,14 +16,14 @@ InvariantOracle::InvariantOracle(mem::CoherentMemory* memory)
   for (uint32_t id = 0; id < pages.size(); ++id) {
     shadow_states_.push_back(pages.at(id).state());
   }
-  memory_->SetTransitionHook([this](const char* transition) {
+  memory_->SetTransitionHook([this](mem::ProtocolTrigger trigger) {
     ++transitions_checked_;
     // The spec check runs first: an unknown (trigger, from, to) edge is
     // reported as a protocol-spec violation even when the resulting state
     // also breaks a structural invariant.
-    CheckTransitionEdges(transition);
+    CheckTransitionEdges(trigger);
     // PLAT_CHECK inside CheckInvariants aborts with the violated invariant;
-    // the transition name locates the offending protocol step.
+    // the trigger locates the offending protocol step.
     memory_->CheckInvariants();
   });
 }
@@ -32,11 +32,7 @@ InvariantOracle::~InvariantOracle() { memory_->SetTransitionHook(nullptr); }
 
 void InvariantOracle::CheckNow() { memory_->CheckInvariants(); }
 
-void InvariantOracle::CheckTransitionEdges(const char* transition) {
-  mem::ProtocolTrigger trigger;
-  PLAT_CHECK(mem::ProtocolTriggerFromTransitionName(transition, &trigger))
-      << "transition hook fired with a name the protocol spec does not know: '" << transition
-      << "' (add it to src/mem/protocol_spec.json and protocol_spec.cc)";
+void InvariantOracle::CheckTransitionEdges(mem::ProtocolTrigger trigger) {
   const mem::CpageTable& pages = memory_->cpages();
   uint32_t n = pages.size();
   if (shadow_states_.size() < n) {

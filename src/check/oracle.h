@@ -20,10 +20,11 @@
 // machine-readable spec of the *active* protocol (src/mem/protocol_spec*.json
 // via mem::ProtocolAllowsEdge, keyed by the ProtocolKind the memory system
 // was built with): a page may only move along a (trigger, from, to) row that
-// protocol's spec declares for the transition that just completed. The
-// implementation, this oracle, and the bounded explorer all consume the
-// same generated tables, so a transition added to the code without a spec
-// row — or an edge legal only under the *other* protocol — aborts here.
+// protocol's spec declares for the trigger the memory system reported with
+// the transition that just completed. The implementation, this oracle, and
+// the bounded explorer all consume the same generated tables, so a
+// transition added to the code without a spec row — or an edge legal only
+// under the *other* protocol — aborts here.
 #ifndef SRC_CHECK_ORACLE_H_
 #define SRC_CHECK_ORACLE_H_
 
@@ -52,8 +53,8 @@ class InvariantOracle {
 
  private:
   // Diffs the per-page states against the shadow copy and checks every
-  // changed page's edge against the spec row set of `transition`'s trigger.
-  void CheckTransitionEdges(const char* transition);
+  // changed page's edge against the spec rows of `trigger`.
+  void CheckTransitionEdges(mem::ProtocolTrigger trigger);
 
   mem::CoherentMemory* memory_;
   // The active protocol's spec, snapshotted at attach.

@@ -5,7 +5,9 @@
 // counters: prove that a run has no unsynchronized conflicting accesses.
 // CoherentMemory::Access reports each resolved word access through this
 // interface, after fault handling and immediately before the memory
-// reference itself is performed.
+// reference itself is performed. Each record names the coherent page and
+// the physical copy the access resolved to, so an observer never has to
+// mirror the Cmap or guess which module a translation points at.
 #ifndef SRC_MEM_ACCESS_OBSERVER_H_
 #define SRC_MEM_ACCESS_OBSERVER_H_
 
@@ -26,6 +28,8 @@ struct MemoryAccess {
   uint32_t fiber = kNoFiber;  // simulator fiber id of the accessor
   int processor = -1;
   sim::SimTime time = 0;  // virtual time of the access
+  uint32_t cpage = 0;     // coherent page bound at (as_id, vpn)
+  int module = -1;        // memory module holding the copy the reference goes to
 };
 
 class AccessObserver {

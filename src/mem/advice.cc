@@ -101,7 +101,7 @@ void CoherentMemory::PinTo(uint32_t as_id, uint32_t vpn, int node) {
     Trace(TraceEventType::kFreeze, page, initiator, 0);
   }
   Trace(TraceEventType::kPin, page, initiator, static_cast<uint32_t>(node));
-  NotifyTransition("pin");
+  NotifyTransition(ProtocolTrigger::kPin);
 }
 
 void CoherentMemory::ReplicateTo(uint32_t as_id, uint32_t vpn, int node) {
@@ -128,7 +128,7 @@ void CoherentMemory::ReplicateTo(uint32_t as_id, uint32_t vpn, int node) {
   ++page.stats().replications;
   ++machine_->stats().replications;
   Trace(TraceEventType::kReplicate, page, initiator, static_cast<uint32_t>(node));
-  NotifyTransition("replicate");
+  NotifyTransition(ProtocolTrigger::kReplicateTo);
 }
 
 }  // namespace platinum::mem

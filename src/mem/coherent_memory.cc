@@ -52,9 +52,6 @@ void CoherentMemory::BindPage(uint32_t as_id, uint32_t vpn, uint32_t cpage, hw::
   entry.rights = rights;
   entry.reference_mask = 0;
   cpages_.at(cpage).AddMapper(CpageMapper{as_id, vpn});
-  if (page_sink_ != nullptr) [[unlikely]] {
-    page_sink_->OnPageBind(as_id, vpn, cpage);
-  }
 }
 
 void CoherentMemory::UnbindPage(uint32_t as_id, uint32_t vpn) {
@@ -87,11 +84,8 @@ void CoherentMemory::UnbindPage(uint32_t as_id, uint32_t vpn) {
   const sim::Fiber* fiber = machine_->scheduler().current();
   Trace(TraceEventType::kUnbind, page,
         fiber != nullptr ? machine_->scheduler().current_processor() : -1, as_id);
-  if (page_sink_ != nullptr) [[unlikely]] {
-    page_sink_->OnPageUnbind(as_id, vpn, entry.cpage);
-  }
   entry = CmapEntry{};
-  NotifyTransition("unbind");
+  NotifyTransition(ProtocolTrigger::kUnbind);
 }
 
 void CoherentMemory::Activate(uint32_t as_id, int processor) {
@@ -158,12 +152,13 @@ CoherentMemory::AccessResult CoherentMemory::AccessFault(uint32_t as_id, uint32_
 }
 
 void CoherentMemory::NotifyAccessObserver(uint32_t as_id, uint32_t vpn, uint32_t word_offset,
-                                          sim::AccessKind kind, int processor) {
+                                          sim::AccessKind kind, int processor, int module) {
   sim::Scheduler& sched = machine_->scheduler();
   const sim::Fiber* fiber = sched.current();
   access_observer_->OnMemoryAccess(MemoryAccess{
       as_id, vpn, word_offset, kind == sim::AccessKind::kWrite,
-      fiber != nullptr ? fiber->id() : kNoFiber, processor, sched.now()});
+      fiber != nullptr ? fiber->id() : kNoFiber, processor, sched.now(),
+      cmap(as_id).entry(vpn).cpage, module});
 }
 
 AccessOutcome CoherentMemory::ReadRange(uint32_t as_id, uint32_t vpn, uint32_t word_offset,
@@ -226,7 +221,7 @@ AccessOutcome CoherentMemory::AccessRange(uint32_t as_id, uint32_t vpn, uint32_t
     while (done < run_end && !switched) {
       ++machine_->stats().atc_hits;
       if (access_observer_ != nullptr) [[unlikely]] {
-        NotifyAccessObserver(as_id, vpn, word_offset, kind, processor);
+        NotifyAccessObserver(as_id, vpn, word_offset, kind, processor, module);
       }
       machine_->Reference(processor, module, kind);
       if (kind == sim::AccessKind::kRead) {

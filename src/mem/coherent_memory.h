@@ -33,6 +33,7 @@
 #include "src/mem/cmap.h"
 #include "src/mem/cpage.h"
 #include "src/mem/policy.h"
+#include "src/mem/protocol_spec.h"
 #include "src/mem/trace.h"
 #include "src/sim/machine.h"
 
@@ -205,15 +206,14 @@ class CoherentMemory {
   // The currently installed observer (for consumers that chain, e.g. the
   // page-forensics layer keeping an existing race detector live).
   AccessObserver* access_observer() const { return access_observer_; }
-  // Installs a streaming sink for protocol events and page bind/unbind
-  // notifications (the obs-layer forensics). Sinks see every event the
-  // TraceLog would record, whether or not tracing is enabled. Pass nullptr
-  // to detach.
+  // Installs a streaming sink for protocol events (the obs-layer
+  // forensics). Sinks see every event the TraceLog would record, whether or
+  // not tracing is enabled. Pass nullptr to detach.
   void SetPageEventSink(PageEventSink* sink) { page_sink_ = sink; }
   // Installs a hook invoked after every completed protocol transition —
-  // fault resolution, thaw, pin, pre-replicate, unbind — with a short name
-  // for the transition (the invariant oracle). Pass nullptr to detach.
-  using TransitionHook = std::function<void(const char* transition)>;
+  // fault resolution, thaw, pin, pre-replicate, unbind — with the spec
+  // trigger that completed (the invariant oracle). Pass nullptr to detach.
+  using TransitionHook = std::function<void(ProtocolTrigger trigger)>;
   void SetTransitionHook(TransitionHook hook) { transition_hook_ = std::move(hook); }
 
   // --- Introspection -------------------------------------------------------------
@@ -294,9 +294,9 @@ class CoherentMemory {
   // Shared tail of Trace/TraceGlobal: builds the event once, then fans out.
   void EmitTrace(TraceEventType type, uint32_t cpage, int processor, uint32_t detail);
   // Invokes the transition hook, if any, at the end of a completed transition.
-  void NotifyTransition(const char* transition) {
+  void NotifyTransition(ProtocolTrigger trigger) {
     if (transition_hook_) {
-      transition_hook_(transition);
+      transition_hook_(trigger);
     }
   }
   // Central fault-time choice: advice first, then the replication policy.
@@ -327,7 +327,7 @@ class CoherentMemory {
                                                    const hw::PmapEntry& translation,
                                                    int processor) PLATINUM_MAY_YIELD {
     if (access_observer_ != nullptr) [[unlikely]] {
-      NotifyAccessObserver(as_id, vpn, word_offset, kind, processor);
+      NotifyAccessObserver(as_id, vpn, word_offset, kind, processor, translation.module);
     }
     machine_->Reference(processor, translation.module, kind);
     AccessResult result;
@@ -341,9 +341,11 @@ class CoherentMemory {
     }
     return result;
   }
-  // Out-of-line observer dispatch so the inline fast path stays small.
+  // Out-of-line observer dispatch so the inline fast path stays small. The
+  // record names the cpage bound at (as_id, vpn) and the `module` whose copy
+  // the reference goes to.
   void NotifyAccessObserver(uint32_t as_id, uint32_t vpn, uint32_t word_offset,
-                            sim::AccessKind kind, int processor) PLATINUM_NO_YIELD;
+                            sim::AccessKind kind, int processor, int module) PLATINUM_NO_YIELD;
   // Shared engine behind ReadRange/WriteRange. Exactly one of read_out /
   // write_in is non-null.
   AccessOutcome AccessRange(uint32_t as_id, uint32_t vpn, uint32_t word_offset, uint32_t count,

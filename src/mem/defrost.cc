@@ -116,7 +116,7 @@ void CoherentMemory::Thaw(uint32_t cpage_id) {
     page.SetState(CpageState::kPresent1);  // protocol: thaw-downgrade modified -> present1
   }
   Unfreeze(page);
-  NotifyTransition("thaw");
+  NotifyTransition(ProtocolTrigger::kThaw);
 }
 
 }  // namespace platinum::mem

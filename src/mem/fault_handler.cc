@@ -87,7 +87,8 @@ AccessOutcome CoherentMemory::HandleFault(uint32_t as_id, uint32_t vpn, sim::Acc
     page.CheckInvariants();
     return true;
   }());
-  NotifyTransition(kind == sim::AccessKind::kWrite ? "write-fault" : "read-fault");
+  NotifyTransition(kind == sim::AccessKind::kWrite ? ProtocolTrigger::kWrite
+                                                   : ProtocolTrigger::kRead);
   return outcome;
 }
 

@@ -3,17 +3,16 @@
 // A PageEventSink observes the same transition stream the bounded TraceLog
 // records — faults, fills, replications, migrations, remote maps, freezes,
 // thaws, shootdowns, defrost scans, pins, unbinds, page frees — but as a
-// live callback with no ring-buffer bound, plus the address-space
-// bind/unbind plumbing a consumer needs to attribute word accesses (which
-// carry (as, vpn)) to coherent pages (which protocol events carry). The
-// forensics layer in src/obs/page_trace.h is the canonical consumer.
+// live callback with no ring-buffer bound. Binding is setup, not a protocol
+// transition, so it is not reported; a consumer that attributes word
+// accesses to coherent pages reads the page from the access record
+// (access_observer.h). The forensics layer in src/obs/page_trace.h is the
+// canonical consumer.
 //
 // Producer cost: one pointer test per protocol transition when no sink is
 // attached (CoherentMemory::Trace), nothing on the per-word access path.
 #ifndef SRC_MEM_PAGE_EVENT_H_
 #define SRC_MEM_PAGE_EVENT_H_
-
-#include <cstdint>
 
 #include "src/mem/trace.h"
 
@@ -28,20 +27,6 @@ class PageEventSink {
   // scans); `event.processor` is -1 outside any fiber. Must not yield: the
   // callback runs inside the fault handler's critical section.
   virtual void OnPageEvent(const TraceEvent& event) = 0;
-
-  // Address-space plumbing: (as_id, vpn) became bound to / unbound from
-  // `cpage`. Not recorded in the TraceLog ring (binding is setup, not a
-  // protocol transition) — unbind additionally emits a kUnbind trace event.
-  virtual void OnPageBind(uint32_t as_id, uint32_t vpn, uint32_t cpage) {
-    (void)as_id;
-    (void)vpn;
-    (void)cpage;
-  }
-  virtual void OnPageUnbind(uint32_t as_id, uint32_t vpn, uint32_t cpage) {
-    (void)as_id;
-    (void)vpn;
-    (void)cpage;
-  }
 };
 
 }  // namespace platinum::mem

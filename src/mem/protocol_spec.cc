@@ -39,27 +39,6 @@ const char* ProtocolTriggerName(ProtocolTrigger trigger) {
   return spec_gen::kTriggerNames[idx];
 }
 
-bool ProtocolTriggerFromTransitionName(const char* name, ProtocolTrigger* out) {
-  // NotifyTransition names predate the spec; two differ from the trigger
-  // table ("read"/"write" there, "read-fault"/"write-fault"/"replicate" here).
-  struct NameMap {
-    const char* name;
-    ProtocolTrigger trigger;
-  };
-  static constexpr NameMap kNames[] = {
-      {"read-fault", ProtocolTrigger::kRead},   {"write-fault", ProtocolTrigger::kWrite},
-      {"thaw", ProtocolTrigger::kThaw},         {"pin", ProtocolTrigger::kPin},
-      {"replicate", ProtocolTrigger::kReplicateTo}, {"unbind", ProtocolTrigger::kUnbind},
-  };
-  for (const NameMap& entry : kNames) {
-    if (std::strcmp(name, entry.name) == 0) {
-      *out = entry.trigger;
-      return true;
-    }
-  }
-  return false;
-}
-
 bool ProtocolAllowsEdge(ProtocolKind kind, ProtocolTrigger trigger, CpageState from,
                         CpageState to) {
   const spec_gen::SpecView& view = View(kind);

@@ -12,7 +12,7 @@
 //     diffs against the specs' micro transitions;
 //   * the invariant oracle (src/check/oracle) — validates every per-page
 //     state change a completed transition produced against the active
-//     protocol's composed event rows;
+//     protocol's composed rows for the trigger the transition reported;
 //   * the bounded explorer (src/check/explorer) — records the (trigger,
 //     from, to) edges it replays and checks each against the active spec;
 //     the protocol_spec ctest proves the closed 2p/3p edge set equals the
@@ -42,23 +42,22 @@ const char* ProtocolKindName(ProtocolKind kind);
 bool ProtocolKindFromName(const char* name, ProtocolKind* out);
 
 // External events that complete a protocol transition, in the order of the
-// spec's trigger table (and of CoherentMemory::NotifyTransition names).
-// Both specs declare the same states and triggers — only the rows differ —
-// so trigger indices are protocol-independent.
+// spec's trigger table. CoherentMemory's transition hook reports each
+// completed transition with one of these. Both specs declare the same states
+// and triggers — only the rows differ — so trigger indices are
+// protocol-independent.
 enum class ProtocolTrigger : uint8_t {
-  kRead = 0,         // "read-fault"
-  kWrite = 1,        // "write-fault"
-  kThaw = 2,         // "thaw"
-  kPin = 3,          // "pin"
-  kReplicateTo = 4,  // "replicate"
-  kUnbind = 5,       // "unbind"
+  kRead = 0,         // read-fault resolution
+  kWrite = 1,        // write-fault resolution
+  kThaw = 2,         // defrost or explicit thaw
+  kPin = 3,          // CoherentMemory::PinTo
+  kReplicateTo = 4,  // CoherentMemory::ReplicateTo (prefetch)
+  kUnbind = 5,       // CoherentMemory::UnbindPage
 };
 
+// The spec's name for `trigger` ("read", "write", "thaw", "pin",
+// "replicate-to", "unbind").
 const char* ProtocolTriggerName(ProtocolTrigger trigger);
-
-// Maps a transition-hook name (the argument of NotifyTransition) to its
-// trigger. Returns false for unknown names.
-bool ProtocolTriggerFromTransitionName(const char* name, ProtocolTrigger* out);
 
 // True iff `kind`'s spec allows a page observed in `from` before the trigger
 // to be in `to` when the transition hook fires (self-edges included).

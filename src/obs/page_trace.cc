@@ -6,14 +6,6 @@
 
 namespace platinum::obs {
 
-namespace {
-
-// Sentinel for "this (as, vpn) is not bound"; reuses the trace marker so the
-// two never collide with a real cpage id.
-constexpr uint32_t kUnbound = mem::kTraceNoCpage;
-
-}  // namespace
-
 PageTrace::PageTrace(PageTraceOptions options)
     : options_(options), ring_(options.ring_capacity) {}
 
@@ -45,7 +37,6 @@ size_t PageTrace::pages_tracked() const {
 }
 
 void PageTrace::OnPageEvent(const mem::TraceEvent& event) {
-  ++events_seen_;
   ring_.Record(event);
   if (event.cpage == mem::kTraceNoCpage) {
     return;  // machine-wide event (defrost scan); nothing per-page to roll up
@@ -64,18 +55,6 @@ void PageTrace::OnPageEvent(const mem::TraceEvent& event) {
 }
 
 void PageTrace::UpdateDetectors(PageRollup& r, const mem::TraceEvent& event) {
-  // Keeps a processor -> module map current for read attribution. `module`
-  // is the copy the initiating processor will reference from now on.
-  auto note_reader = [&r](int16_t processor, int16_t module) {
-    if (processor < 0) {
-      return;
-    }
-    if (static_cast<size_t>(processor) >= r.reader_module.size()) {
-      r.reader_module.resize(static_cast<size_t>(processor) + 1, int16_t{-1});
-    }
-    r.reader_module[static_cast<size_t>(processor)] = module;
-  };
-
   switch (event.type) {
     case mem::TraceEventType::kFault:
       ++r.faults;
@@ -93,21 +72,17 @@ void PageTrace::UpdateDetectors(PageRollup& r, const mem::TraceEvent& event) {
       break;
     case mem::TraceEventType::kFill:
       ++r.fills;
-      note_reader(event.processor, static_cast<int16_t>(event.detail));
       break;
     case mem::TraceEventType::kReplicate:
       ++r.replications;
       ++r.replicas_created;
       r.live_replicas.push_back(ReplicaReads{static_cast<int16_t>(event.detail), 0});
-      note_reader(event.processor, static_cast<int16_t>(event.detail));
       break;
     case mem::TraceEventType::kMigrate:
       ++r.migrations;
-      note_reader(event.processor, static_cast<int16_t>(event.detail));
       break;
     case mem::TraceEventType::kRemoteMap:
       ++r.remote_maps;
-      note_reader(event.processor, static_cast<int16_t>(event.detail));
       break;
     case mem::TraceEventType::kFreeze:
       ++r.freezes;
@@ -154,49 +129,13 @@ void PageTrace::UpdateDetectors(PageRollup& r, const mem::TraceEvent& event) {
   }
 }
 
-void PageTrace::OnPageBind(uint32_t as_id, uint32_t vpn, uint32_t cpage) {
-  if (as_id >= vpn_to_cpage_.size()) {
-    vpn_to_cpage_.resize(as_id + 1);
-  }
-  std::vector<uint32_t>& pages = vpn_to_cpage_[as_id];
-  if (vpn >= pages.size()) {
-    pages.resize(vpn + 1, kUnbound);
-  }
-  pages[vpn] = cpage;
-}
-
-uint32_t PageTrace::CpageFor(uint32_t as_id, uint32_t vpn) const {
-  if (as_id >= vpn_to_cpage_.size() || vpn >= vpn_to_cpage_[as_id].size()) {
-    return kUnbound;
-  }
-  return vpn_to_cpage_[as_id][vpn];
-}
-
-void PageTrace::OnPageUnbind(uint32_t as_id, uint32_t vpn, uint32_t cpage) {
-  (void)cpage;
-  if (as_id < vpn_to_cpage_.size() && vpn < vpn_to_cpage_[as_id].size()) {
-    vpn_to_cpage_[as_id][vpn] = kUnbound;
-  }
-}
-
 void PageTrace::OnMemoryAccess(const mem::MemoryAccess& access) {
   ++accesses_seen_;
-  if (!access.is_write && access.as_id < vpn_to_cpage_.size() &&
-      access.vpn < vpn_to_cpage_[access.as_id].size()) {
-    uint32_t cpage = vpn_to_cpage_[access.as_id][access.vpn];
-    if (cpage != kUnbound && cpage < rollups_.size()) {
-      PageRollup& r = rollups_[cpage];
-      size_t p = static_cast<size_t>(access.processor);
-      if (access.processor >= 0 && p < r.reader_module.size()) {
-        int16_t module = r.reader_module[p];
-        if (module >= 0) {
-          for (ReplicaReads& rep : r.live_replicas) {
-            if (rep.module == module) {
-              ++rep.reads;
-              break;
-            }
-          }
-        }
+  if (!access.is_write && access.cpage < rollups_.size()) {
+    for (ReplicaReads& rep : rollups_[access.cpage].live_replicas) {
+      if (rep.module == access.module) {
+        ++rep.reads;
+        break;
       }
     }
   }
@@ -263,7 +202,7 @@ std::string PageTrace::ToJson() const {
   JsonWriter w;
   w.BeginObject();
   w.Key("schema").Value("platinum-page-forensics-v1");
-  w.Key("events_seen").Value(events_seen_);
+  w.Key("events_seen").Value(events_seen());
   w.Key("accesses_seen").Value(accesses_seen_);
   w.Key("pages_tracked").Value(static_cast<uint64_t>(pages_tracked()));
   w.Key("rollups_dropped").Value(rollups_dropped_);

@@ -5,7 +5,8 @@
 // only to be invalidated unread (Sections 5-6) — but MachineStats smears all
 // of that into machine-wide totals. PageTrace consumes the coherent-memory
 // hook API (mem::PageEventSink for protocol transitions, mem::AccessObserver
-// for per-word references) and maintains:
+// for per-word references, each naming its coherent page and the module of
+// the copy it reaches) and maintains:
 //   * a bounded ring of raw protocol events (drop-counted, never grows);
 //   * streaming per-page rollups: event counters, first/last activity, and
 //     the state needed by three derived detectors —
@@ -14,7 +15,7 @@
 //         writer's mapping and counts one alternation (covers two-party
 //         A,B,A,B ping-pong and N-party rotation equally);
 //       - freeze-churn: completed freeze -> thaw cycles per page;
-//       - replication-waste: replicas freed after at most one observed read
+//       - replication-waste: replicas freed after serving at most one read
 //         (the read that created them), i.e. copies that never paid off.
 // The report is a deterministic JSON document: detector-flagged page lists
 // plus a top-K "hot page" table with bounded per-page timelines filtered
@@ -92,27 +93,23 @@ class PageTrace : public mem::PageEventSink, public mem::AccessObserver {
     uint64_t replicas_created = 0;
     uint64_t replicas_wasted = 0;
     std::vector<ReplicaReads> live_replicas;
-    // Which module each processor's reads currently land on (from the most
-    // recent fill/replicate/migrate/remote-map it initiated); -1 = unknown.
-    std::vector<int16_t> reader_module;
   };
 
   explicit PageTrace(PageTraceOptions options = {});
 
   // --- mem::PageEventSink ------------------------------------------------------
   void OnPageEvent(const mem::TraceEvent& event) override;
-  void OnPageBind(uint32_t as_id, uint32_t vpn, uint32_t cpage) override;
-  void OnPageUnbind(uint32_t as_id, uint32_t vpn, uint32_t cpage) override;
 
   // --- mem::AccessObserver -----------------------------------------------------
-  // Attributes reads to the live replica they land on, then forwards to the
-  // chained observer (so an installed race detector keeps working).
+  // Credits a read to the live replica of `access.cpage` on `access.module`,
+  // then forwards to the chained observer (so an installed race detector
+  // keeps working).
   void OnMemoryAccess(const mem::MemoryAccess& access) override;
   void set_next_access_observer(mem::AccessObserver* next) { next_ = next; }
 
   // --- Introspection -----------------------------------------------------------
   const PageTraceOptions& options() const { return options_; }
-  uint64_t events_seen() const { return events_seen_; }
+  uint64_t events_seen() const { return ring_.recorded(); }
   uint64_t accesses_seen() const { return accesses_seen_; }
   uint64_t rollups_dropped() const { return rollups_dropped_; }
   const mem::TraceLog& ring() const { return ring_; }
@@ -121,10 +118,6 @@ class PageTrace : public mem::PageEventSink, public mem::AccessObserver {
   // The rollup for `cpage`, or nullptr when it has no events (or is beyond
   // the max_pages bound).
   const PageRollup* rollup(uint32_t cpage) const;
-  // The coherent page currently bound at (as_id, vpn), or mem::kTraceNoCpage
-  // when no binding has been observed — lets tests and tools attribute
-  // detector flags to the data structure owning a VA range.
-  uint32_t CpageFor(uint32_t as_id, uint32_t vpn) const;
 
   // --- Detectors ---------------------------------------------------------------
   bool IsPingPong(const PageRollup& r) const {
@@ -158,10 +151,7 @@ class PageTrace : public mem::PageEventSink, public mem::AccessObserver {
   PageTraceOptions options_ PLATINUM_FIBER_SHARED;
   mem::TraceLog ring_ PLATINUM_FIBER_SHARED;
   std::vector<PageRollup> rollups_ PLATINUM_FIBER_SHARED;
-  // (as_id, vpn) -> cpage, maintained from bind/unbind notifications.
-  std::vector<std::vector<uint32_t>> vpn_to_cpage_ PLATINUM_FIBER_SHARED;
   mem::AccessObserver* next_ PLATINUM_FIBER_SHARED = nullptr;
-  uint64_t events_seen_ PLATINUM_FIBER_SHARED = 0;
   uint64_t accesses_seen_ PLATINUM_FIBER_SHARED = 0;
   uint64_t rollups_dropped_ PLATINUM_FIBER_SHARED = 0;
 };

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/load/driver.h"
+#include "src/mem/cmap.h"
 #include "src/mem/access_observer.h"
 #include "src/mem/trace.h"
 #include "src/obs/json.h"
@@ -131,10 +132,13 @@ TEST(PageTraceTest, ThawWithoutFreezeIsNotACycle) {
 
 // --- Replication waste -------------------------------------------------------
 
-mem::MemoryAccess Read(uint32_t as_id, uint32_t vpn, int processor) {
+// A read of (address space 0, `vpn`) whose translation reaches `cpage`'s
+// copy on `module`.
+mem::MemoryAccess Read(uint32_t vpn, uint32_t cpage, int module, int processor) {
   mem::MemoryAccess access;
-  access.as_id = as_id;
   access.vpn = vpn;
+  access.cpage = cpage;
+  access.module = module;
   access.is_write = false;
   access.processor = processor;
   return access;
@@ -142,12 +146,11 @@ mem::MemoryAccess Read(uint32_t as_id, uint32_t vpn, int processor) {
 
 TEST(PageTraceTest, ReplicaFreedAfterOnlyItsFaultingReadIsWaste) {
   PageTrace pt;
-  pt.OnPageBind(/*as_id=*/0, /*vpn=*/3, /*cpage=*/7);
   // Processor 2 read-faults; the protocol replicates onto module 1 and the
   // faulting read lands on the new copy.
   pt.OnPageEvent(ReadFault(7, 2));
   pt.OnPageEvent(Event(mem::TraceEventType::kReplicate, 7, 2, /*detail=*/1));
-  pt.OnMemoryAccess(Read(0, 3, 2));
+  pt.OnMemoryAccess(Read(/*vpn=*/3, /*cpage=*/7, /*module=*/1, /*processor=*/2));
   // Invalidated before any independent read: the copy never paid off.
   pt.OnPageEvent(Event(mem::TraceEventType::kPageFree, 7, 0, /*detail=*/1));
   EXPECT_EQ(pt.rollup(7)->replicas_created, 1u);
@@ -158,11 +161,10 @@ TEST(PageTraceTest, ReplicaFreedAfterOnlyItsFaultingReadIsWaste) {
 
 TEST(PageTraceTest, ReplicaWithIndependentReadsIsNotWaste) {
   PageTrace pt;
-  pt.OnPageBind(0, 3, 7);
   pt.OnPageEvent(ReadFault(7, 2));
   pt.OnPageEvent(Event(mem::TraceEventType::kReplicate, 7, 2, /*detail=*/1));
-  pt.OnMemoryAccess(Read(0, 3, 2));  // the faulting read
-  pt.OnMemoryAccess(Read(0, 3, 2));  // a read the replica actually served
+  pt.OnMemoryAccess(Read(3, 7, 1, 2));  // the faulting read
+  pt.OnMemoryAccess(Read(3, 7, 1, 2));  // a read the replica actually served
   pt.OnPageEvent(Event(mem::TraceEventType::kPageFree, 7, 0, /*detail=*/1));
   EXPECT_EQ(pt.rollup(7)->replicas_wasted, 0u);
   EXPECT_FALSE(pt.IsReplicationWaste(*pt.rollup(7)));
@@ -170,12 +172,44 @@ TEST(PageTraceTest, ReplicaWithIndependentReadsIsNotWaste) {
 
 TEST(PageTraceTest, UnbindStopsReadAttribution) {
   PageTrace pt;
-  pt.OnPageBind(0, 3, 7);
   pt.OnPageEvent(Event(mem::TraceEventType::kReplicate, 7, 2, /*detail=*/1));
-  pt.OnPageUnbind(0, 3, 7);
-  pt.OnMemoryAccess(Read(0, 3, 2));  // no longer maps to cpage 7
+  pt.OnPageEvent(Event(mem::TraceEventType::kUnbind, 7, 2));
+  // vpn 3 is now bound to cpage 8: its reads reach cpage 8's copy on
+  // module 1, never cpage 7's replica there.
+  pt.OnMemoryAccess(Read(3, /*cpage=*/8, 1, 2));
+  pt.OnMemoryAccess(Read(3, 8, 1, 2));
   pt.OnPageEvent(Event(mem::TraceEventType::kPageFree, 7, 0, /*detail=*/1));
   EXPECT_EQ(pt.rollup(7)->replicas_wasted, 1u);
+}
+
+// A copy ReplicateMemory prefetched onto another node paid off once that
+// node read it, although the reader did not create it.
+TEST(PageTraceTest, PrefetchedReplicaThatServesReadsIsNotWaste) {
+  PageTrace pt;
+  TestSystem sys(4);
+  sys.kernel.AttachPageTrace(&pt);
+  auto* space = sys.kernel.CreateAddressSpace("s");
+  rt::ZoneAllocator zone(&sys.kernel, space);
+  auto arr = rt::SharedArray<uint32_t>::Create(zone, "prefetched", 4);
+  const uint32_t cpage = sys.kernel.FindMemoryObject("prefetched")->cpage(0);
+  sys.kernel.SpawnThread(space, 0, "writer", [&] {
+    arr.Set(0, 1);
+    sys.kernel.ReplicateMemory(space, arr.base_va(), 2);
+    sys.machine.scheduler().Sleep(20 * sim::kMillisecond);
+    arr.Set(0, 2);  // collapses the page, freeing the copy on module 2
+  });
+  sys.kernel.SpawnThread(space, 2, "reader", [&] {
+    sys.machine.scheduler().Sleep(10 * sim::kMillisecond);
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(arr.Get(0), 1u);
+    }
+  });
+  sys.kernel.Run();
+  const PageTrace::PageRollup* r = pt.rollup(cpage);
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->replicas_created, 1u);
+  EXPECT_EQ(r->frees, 1u);
+  EXPECT_EQ(r->replicas_wasted, 0u);
 }
 
 // --- Bounded storage ---------------------------------------------------------
@@ -224,8 +258,8 @@ TEST(PageTraceTest, ForwardsAccessesToChainedObserver) {
   PageTrace pt;
   CountingObserver next;
   pt.set_next_access_observer(&next);
-  pt.OnMemoryAccess(Read(0, 0, 0));
-  mem::MemoryAccess write = Read(0, 0, 1);
+  pt.OnMemoryAccess(Read(0, 0, 0, 0));
+  mem::MemoryAccess write = Read(0, 0, 0, 1);
   write.is_write = true;
   pt.OnMemoryAccess(write);
   EXPECT_EQ(pt.accesses_seen(), 2u);
@@ -263,7 +297,7 @@ TEST(PageTraceTest, ToJsonIsValidAndDeterministic) {
 // directory protocol resolves them with shootdown rounds and the ping-pong
 // detector must flag them; interior pages are read on every lookup and
 // written only during structural growth, so they replicate instead and must
-// stay off the ping-pong list. The bind map (CpageFor) ties the flagged
+// stay off the ping-pong list. The address space's Cmap ties the flagged
 // coherent pages back to the trie's node pools.
 TEST(PageTraceTest, TrieServingAttributesLeafPingPongNotInterior) {
   PageTrace pt;
@@ -278,13 +312,14 @@ TEST(PageTraceTest, TrieServingAttributesLeafPingPongNotInterior) {
   load::ServeResult result = load::RunTrieServe(sys.kernel, config);
   ASSERT_TRUE(result.verified);
 
+  const mem::Cmap& cmap = sys.kernel.memory().cmap(result.as_id);
   auto pool_cpages = [&](uint32_t base_va, uint32_t words) {
     std::set<uint32_t> out;
     const uint32_t page = sys.kernel.page_size();
     for (uint32_t va = base_va; va < base_va + words * 4; va += page) {
-      uint32_t cpage = pt.CpageFor(result.as_id, sys.kernel.VpnOf(va));
-      if (cpage != mem::kTraceNoCpage) {
-        out.insert(cpage);
+      const mem::CmapEntry& entry = cmap.entry(sys.kernel.VpnOf(va));
+      if (entry.bound()) {
+        out.insert(entry.cpage);
       }
     }
     return out;
@@ -294,9 +329,9 @@ TEST(PageTraceTest, TrieServingAttributesLeafPingPongNotInterior) {
   std::set<uint32_t> leaves = pool_cpages(result.leaf_base_va, result.leaf_words);
   std::set<uint32_t> sync;
   for (uint32_t va : result.sync_vas) {
-    uint32_t cpage = pt.CpageFor(result.as_id, sys.kernel.VpnOf(va));
-    if (cpage != mem::kTraceNoCpage) {
-      sync.insert(cpage);
+    const mem::CmapEntry& entry = cmap.entry(sys.kernel.VpnOf(va));
+    if (entry.bound()) {
+      sync.insert(entry.cpage);
     }
   }
   ASSERT_FALSE(interior.empty());
@@ -361,7 +396,7 @@ TEST(PageTraceTest, TrieServingAttributesLeafPingPongNotInterior) {
   // Sync pages (slice locks, barrier) ping-pong by design — the paper's
   // Section 6 point that sync words need their own pages.
   EXPECT_GT(sync_ping_pong, 0u);
-  // Every flagged page traces back to a known structure: the bind map leaves
+  // Every flagged page traces back to a known structure: the Cmap leaves
   // nothing unattributed.
   EXPECT_EQ(unattributed, 0u);
   // The replicate-vs-freeze split lands where the paper says it should:
