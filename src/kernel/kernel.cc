@@ -277,6 +277,11 @@ check::RaceDetector& Kernel::EnableRaceDetection() {
   if (race_detector_ != nullptr) {
     return *race_detector_;
   }
+  // The detector becomes the access observer; replacing an installed one
+  // (an attached PageTrace) would leave it seeing no accesses.
+  PLAT_CHECK(memory_->access_observer() == nullptr)
+      << "call EnableRaceDetection before AttachPageTrace: an access observer is already "
+         "installed";
   race_detector_ = std::make_unique<check::RaceDetector>(
       [this](uint32_t as_id, uint32_t vpn) -> std::string {
         if (as_id < spaces_.size()) {

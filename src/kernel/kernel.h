@@ -136,7 +136,9 @@ class Kernel {
   // --- Correctness checking (src/check) ---------------------------------------
   // Creates and installs the simulated race detector (idempotent). Previously
   // registered synchronization words and intentional-sharing annotations are
-  // replayed into it. Enable before spawning the threads to be checked.
+  // replayed into it. Enable before spawning the threads to be checked, and
+  // before AttachPageTrace: the first call aborts when an access observer is
+  // already installed.
   check::RaceDetector& EnableRaceDetection();
   // The installed detector, or nullptr when race detection is off.
   check::RaceDetector* race_detector() { return race_detector_.get(); }

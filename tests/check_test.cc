@@ -8,6 +8,7 @@
 #include "src/check/oracle.h"
 #include "src/check/race_detector.h"
 #include "src/mem/cpage.h"
+#include "src/obs/page_trace.h"
 #include "src/runtime/parallel.h"
 #include "src/runtime/shared_array.h"
 #include "src/runtime/sync.h"
@@ -192,6 +193,18 @@ TEST(InvariantOracleTest, DefrostPassThawsSeveralPages) {
   EXPECT_EQ(memory.ThawAllFrozen(), 3u);
   EXPECT_EQ(memory.frozen_count(), 0u);
   oracle.CheckNow();
+}
+
+// The detector becomes the access observer. Installed after a PageTrace it
+// would replace it, and the trace would go on seeing page events but no
+// accesses; the kernel refuses that order instead.
+TEST(RaceDetectorDeathTest, EnablingAfterAttachPageTraceAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  TestSystem sys(2);
+  obs::PageTrace trace;
+  sys.kernel.AttachPageTrace(&trace);
+  EXPECT_DEATH(sys.kernel.EnableRaceDetection(),
+               "call EnableRaceDetection before AttachPageTrace");
 }
 
 TEST(InvariantOracleDeathTest, CatchesStateDirectoryMismatch) {
