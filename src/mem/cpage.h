@@ -69,8 +69,6 @@ struct CpageStats {
   // Contention in the Cpage fault handler for this page.
   uint64_t handler_waits = 0;
   sim::SimTime handler_wait_ns = 0;
-  // Lease-protocol expiry waits charged against this page (tardis).
-  uint64_t lease_waits = 0;
 };
 
 class Cpage {

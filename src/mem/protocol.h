@@ -174,7 +174,7 @@ class TardisProtocol : public CoherenceProtocol {
 
   // Advances simulated time to the expiry of the given lease bound; the
   // fault-path replacement for a shootdown round's IPI round-trip.
-  void WaitForLeaseExpiry(Cpage& page, sim::SimTime until);
+  void WaitForLeaseExpiry(sim::SimTime until);
 
   std::unique_ptr<LeasePolicy> lease_policy_;
   std::vector<PageLease> leases_;  // indexed by cpage id, grown on demand

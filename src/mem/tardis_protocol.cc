@@ -68,15 +68,16 @@ TardisProtocol::PageLease& TardisProtocol::lease(uint32_t cpage_id) {
   return leases_[cpage_id];
 }
 
-void TardisProtocol::WaitForLeaseExpiry(Cpage& page, sim::SimTime until) {
+void TardisProtocol::WaitForLeaseExpiry(sim::SimTime until) {
   sim::Scheduler& sched = memory_->machine_->scheduler();
   sim::SimTime now = sched.now();
   if (until <= now) {
     return;
   }
   sched.AdvanceTo(until);
-  memory_->machine_->stats().lease_wait_ns += until - now;
-  ++page.stats().lease_waits;
+  sim::MachineStats& stats = memory_->machine_->stats();
+  ++stats.lease_waits;
+  stats.lease_wait_ns += until - now;
 }
 
 void TardisProtocol::Granted(Cpage& page, bool write) {
@@ -91,7 +92,7 @@ void TardisProtocol::Granted(Cpage& page, bool write) {
 }
 
 void TardisProtocol::DowngradeToRead(Cpage& page, int initiator) {
-  WaitForLeaseExpiry(page, lease(page.id()).write_until);
+  WaitForLeaseExpiry(lease(page.id()).write_until);
   uint32_t scrubbed = memory_->RestrictCpageToRead(page, initiator, /*round=*/nullptr);
   if (scrubbed > 0) {
     memory_->Trace(TraceEventType::kLeaseExpire, page, initiator, scrubbed);
@@ -101,7 +102,7 @@ void TardisProtocol::DowngradeToRead(Cpage& page, int initiator) {
 
 uint32_t TardisProtocol::ReleaseAllMappings(Cpage& page, int initiator) {
   const PageLease& l = lease(page.id());
-  WaitForLeaseExpiry(page, std::max(l.read_until, l.write_until));
+  WaitForLeaseExpiry(std::max(l.read_until, l.write_until));
   uint32_t scrubbed =
       memory_->InvalidateMappingsToCopy(page, /*module=*/-1, initiator, /*round=*/nullptr);
   if (scrubbed > 0) {
@@ -113,7 +114,7 @@ uint32_t TardisProtocol::ReleaseAllMappings(Cpage& page, int initiator) {
 uint32_t TardisProtocol::ReleaseCopyMappings(Cpage& page, const std::vector<int>& modules,
                                              int initiator) {
   // Victim copies of a collapse are read copies: the read lease bounds them.
-  WaitForLeaseExpiry(page, lease(page.id()).read_until);
+  WaitForLeaseExpiry(lease(page.id()).read_until);
   uint32_t scrubbed = 0;
   for (int module : modules) {
     scrubbed += memory_->InvalidateMappingsToCopy(page, module, initiator, /*round=*/nullptr);
