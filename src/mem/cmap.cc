@@ -7,16 +7,6 @@ namespace platinum::mem {
 Cmap::Cmap(uint32_t as_id, uint32_t num_pages)
     : as_id_(as_id), num_pages_(num_pages), entries_(num_pages) {}
 
-CmapEntry& Cmap::entry(uint32_t vpn) {
-  PLAT_CHECK_LT(vpn, num_pages_);
-  return entries_[vpn];
-}
-
-const CmapEntry& Cmap::entry(uint32_t vpn) const {
-  PLAT_CHECK_LT(vpn, num_pages_);
-  return entries_[vpn];
-}
-
 hw::Pmap& Cmap::CreatePmap(int processor) {
   pmaps_[processor] = std::make_unique<hw::Pmap>(num_pages_);
   return *pmaps_[processor];

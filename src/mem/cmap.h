@@ -53,8 +53,16 @@ class Cmap {
   uint32_t as_id() const { return as_id_; }
   uint32_t num_pages() const { return num_pages_; }
 
-  CmapEntry& entry(uint32_t vpn);
-  const CmapEntry& entry(uint32_t vpn) const;
+  // Inline: the access observer reads the bound cpage on every observed
+  // access.
+  CmapEntry& entry(uint32_t vpn) {
+    PLAT_CHECK_LT(vpn, num_pages_);
+    return entries_[vpn];
+  }
+  const CmapEntry& entry(uint32_t vpn) const {
+    PLAT_CHECK_LT(vpn, num_pages_);
+    return entries_[vpn];
+  }
 
   // The processor's private Pmap for this space, created on first use.
   hw::Pmap& pmap(int processor) {
