@@ -50,6 +50,8 @@ SCENARIOS = {
     # Defrost passes that thaw several pages each, under the invariant oracle.
     "neural_defrost": ["neural", "--procs=16"],
     "trie_defrost": ["trie", "--procs=16", "--ops=50000", "--keys=16384"],
+    # The per-processor and per-module counter tables of Observability::ToString.
+    "gauss_histograms": ["gauss", "--procs=4", "--n=48", "--histograms"],
 }
 # Every scenario runs in a fresh directory with relative artifact names, so
 # the paths platsim echoes to stdout are the same wherever it runs.
