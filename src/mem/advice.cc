@@ -40,9 +40,7 @@ void CoherentMemory::PinTo(uint32_t as_id, uint32_t vpn, int node) {
   PLAT_CHECK_LT(node, machine_->num_nodes());
   Cmap& cm = cmap(as_id);
   Cpage& page = cpages_.at(BoundCpage(cm, vpn));
-  int initiator = machine_->scheduler().current() != nullptr
-                      ? machine_->scheduler().current_processor()
-                      : node;
+  int initiator = machine_->scheduler().current_processor_or(node);
 
   std::optional<PhysicalCopy> copy;
   if (!page.HasCopyOn(node)) {
@@ -56,7 +54,7 @@ void CoherentMemory::PinTo(uint32_t as_id, uint32_t vpn, int node) {
                 machine_->params().page_size_bytes);
     page.AddCopy(*copy);
     page.SetState(CpageState::kPresent1);  // protocol: pin-fill empty -> present1
-    ++machine_->stats().initial_fills;
+    ++machine_->stats(initiator).initial_fills;
   } else if (copy.has_value()) {
     // Move the data: invalidate every translation, copy to the target,
     // reclaim the old frames. This is a deliberate placement change, not
@@ -71,7 +69,7 @@ void CoherentMemory::PinTo(uint32_t as_id, uint32_t vpn, int node) {
     // protocol: pin-migrate present1|present+|modified -> present1
     page.SetState(CpageState::kPresent1);
     ++page.stats().migrations;
-    ++machine_->stats().migrations;
+    ++machine_->stats(initiator).migrations;
     Trace(TraceEventType::kMigrate, page, initiator, static_cast<uint32_t>(node));
   } else if (page.copies().size() > 1) {
     // Collapse to the copy already on the target node.
@@ -91,14 +89,7 @@ void CoherentMemory::PinTo(uint32_t as_id, uint32_t vpn, int node) {
   }
 
   if (protocol_->UsesFreezing() && !page.frozen()) {
-    page.SetFrozen(true);
-    page.SetFreezeTime(machine_->scheduler().now());
-    frozen_lock_.Acquire();
-    frozen_list_.push_back(page.id());
-    frozen_lock_.Release();
-    ++page.stats().freezes;
-    ++machine_->stats().freezes;
-    Trace(TraceEventType::kFreeze, page, initiator, 0);
+    Freeze(page, initiator);
   }
   Trace(TraceEventType::kPin, page, initiator, static_cast<uint32_t>(node));
   NotifyTransition(ProtocolTrigger::kPin);
@@ -112,9 +103,7 @@ void CoherentMemory::ReplicateTo(uint32_t as_id, uint32_t vpn, int node) {
   if (page.state() == CpageState::kEmpty || page.HasCopyOn(node) || page.frozen()) {
     return;
   }
-  int initiator = machine_->scheduler().current() != nullptr
-                      ? machine_->scheduler().current_processor()
-                      : node;
+  int initiator = machine_->scheduler().current_processor_or(node);
   std::optional<PhysicalCopy> copy = AllocateFrameOn(page, node, initiator);
   if (!copy.has_value()) {
     return;  // the target module is full
@@ -126,7 +115,7 @@ void CoherentMemory::ReplicateTo(uint32_t as_id, uint32_t vpn, int node) {
   page.AddCopy(*copy);
   page.SetState(CpageState::kPresentPlus);  // protocol: replicate present1|present+ -> present+
   ++page.stats().replications;
-  ++machine_->stats().replications;
+  ++machine_->stats(initiator).replications;
   Trace(TraceEventType::kReplicate, page, initiator, static_cast<uint32_t>(node));
   NotifyTransition(ProtocolTrigger::kReplicateTo);
 }

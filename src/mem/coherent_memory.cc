@@ -81,9 +81,7 @@ void CoherentMemory::UnbindPage(uint32_t as_id, uint32_t vpn) {
   page.RemoveMapper(as_id, vpn);
   // Unbind can run outside any fiber (address-space teardown from the host
   // harness), where there is no current processor to attribute.
-  const sim::Fiber* fiber = machine_->scheduler().current();
-  Trace(TraceEventType::kUnbind, page,
-        fiber != nullptr ? machine_->scheduler().current_processor() : -1, as_id);
+  Trace(TraceEventType::kUnbind, page, machine_->scheduler().current_processor_or(-1), as_id);
   entry = CmapEntry{};
   NotifyTransition(ProtocolTrigger::kUnbind);
 }
@@ -219,7 +217,7 @@ AccessOutcome CoherentMemory::AccessRange(uint32_t as_id, uint32_t vpn, uint32_t
     const uint32_t run_end = std::min(count, done + (wpp - word_offset));
     bool switched = false;
     while (done < run_end && !switched) {
-      ++machine_->stats().atc_hits;
+      ++machine_->stats(processor).atc_hits;
       if (access_observer_ != nullptr) [[unlikely]] {
         NotifyAccessObserver(as_id, vpn, word_offset, kind, processor, module);
       }

@@ -121,11 +121,11 @@ class CoherentMemory {
     hw::Atc& atc = mmus_[processor].atc();
     const hw::PmapEntry* translation = atc.Lookup(as_id, vpn);
     if (translation != nullptr && Allows(translation->rights, needed)) [[likely]] {
-      ++machine_->stats().atc_hits;
+      ++machine_->stats(processor).atc_hits;
     } else {
       // An ATC miss: the slot held another page (or nothing), or its cached
       // rights were too weak to be used.
-      ++machine_->stats().atc_misses;
+      ++machine_->stats(processor).atc_misses;
       const hw::PmapEntry& pe = cmap(as_id).pmap(processor).entry(vpn);
       if (!pe.valid || !Allows(pe.rights, needed)) [[unlikely]] {
         return AccessFault(as_id, vpn, word_offset, kind, write_value, allow_yield, needed,
@@ -304,6 +304,8 @@ class CoherentMemory {
   // Marks the page frozen if the policy (or its advice) wants declined pages
   // frozen.
   void MaybeFreeze(Cpage& page);
+  // Freezes `page` and puts it on the defrost list, counted for `processor`.
+  void Freeze(Cpage& page, int processor);
   // Clears the frozen flag and removes the page from the defrost list.
   void Unfreeze(Cpage& page);
 

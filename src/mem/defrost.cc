@@ -102,9 +102,8 @@ void CoherentMemory::Thaw(uint32_t cpage_id) {
   if (!page.frozen()) {
     return;
   }
-  sim::Scheduler& sched = machine_->scheduler();
-  int initiator = sched.current() != nullptr ? sched.current_processor()
-                                             : machine_->params().defrost_processor;
+  int initiator =
+      machine_->scheduler().current_processor_or(machine_->params().defrost_processor);
 
   // Invalidate every translation so the next access faults and the policy
   // decides afresh. This is *not* a coherence invalidation: it must not

@@ -29,15 +29,12 @@ AccessOutcome CoherentMemory::HandleFault(uint32_t as_id, uint32_t vpn, sim::Acc
 
   // Trap entry, Cmap lookup, and the fixed handler overhead (Section 4).
   machine_->Compute(params.fault_fixed_ns);
-  ++machine_->stats().faults;
-  obs::ProcessorCounters& cpu = machine_->obs().cpu(processor);
-  ++cpu.faults;
+  sim::MachineStats& counters = machine_->stats(processor);
+  ++counters.faults;
   if (kind == sim::AccessKind::kWrite) {
-    ++machine_->stats().write_faults;
-    ++cpu.write_faults;
+    ++counters.write_faults;
   } else {
-    ++machine_->stats().read_faults;
-    ++cpu.read_faults;
+    ++counters.read_faults;
   }
 
   if (!entry.bound()) {
@@ -66,7 +63,7 @@ AccessOutcome CoherentMemory::HandleFault(uint32_t as_id, uint32_t vpn, sim::Acc
   if (page.handler_busy_until > now) {
     sim::SimTime wait = page.handler_busy_until - now;
     sched.AdvanceTo(page.handler_busy_until);
-    machine_->stats().fault_handler_wait_ns += wait;
+    counters.fault_handler_wait_ns += wait;
     ++page.stats().handler_waits;
     page.stats().handler_wait_ns += wait;
   }
@@ -112,8 +109,7 @@ void CoherentMemory::ResolveReadFault(Cmap& cm, CmapEntry& entry, Cpage& page, u
     PhysicalCopy copy = InitialFill(page, processor);
     page.AddCopy(copy);
     page.SetState(CpageState::kPresent1);  // protocol: read-fill empty -> present1
-    ++machine_->stats().initial_fills;
-    ++machine_->obs().cpu(processor).initial_fills;
+    ++machine_->stats(processor).initial_fills;
     Trace(TraceEventType::kFill, page, processor, static_cast<uint32_t>(copy.module));
     EnterMapping(cm, entry, page, vpn, processor, copy, hw::Rights::kRead);
     protocol_->Granted(page, /*write=*/false);
@@ -146,8 +142,7 @@ void CoherentMemory::ResolveReadFault(Cmap& cm, CmapEntry& entry, Cpage& page, u
     page.AddCopy(*frame);
     page.SetState(CpageState::kPresentPlus);  // protocol: replicate present1|present+ -> present+
     ++page.stats().replications;
-    ++machine_->stats().replications;
-    ++machine_->obs().cpu(processor).replications;
+    ++machine_->stats(processor).replications;
     Trace(TraceEventType::kReplicate, page, processor, static_cast<uint32_t>(frame->module));
     EnterMapping(cm, entry, page, vpn, processor, *frame, hw::Rights::kRead);
     protocol_->Granted(page, /*write=*/false);
@@ -163,8 +158,7 @@ void CoherentMemory::ResolveReadFault(Cmap& cm, CmapEntry& entry, Cpage& page, u
   const PhysicalCopy& copy = page.PrimaryCopy();
   EnterMapping(cm, entry, page, vpn, processor, copy, hw::Rights::kRead);
   ++page.stats().remote_maps;
-  ++machine_->stats().remote_maps;
-  ++machine_->obs().cpu(processor).remote_maps;
+  ++machine_->stats(processor).remote_maps;
   Trace(TraceEventType::kRemoteMap, page, processor, static_cast<uint32_t>(copy.module));
   protocol_->Granted(page, /*write=*/false);
   if (!cache) {
@@ -180,8 +174,7 @@ void CoherentMemory::ResolveWriteFault(Cmap& cm, CmapEntry& entry, Cpage& page, 
     PhysicalCopy copy = InitialFill(page, processor);
     page.AddCopy(copy);
     page.SetState(CpageState::kModified);  // protocol: write-fill empty -> modified
-    ++machine_->stats().initial_fills;
-    ++machine_->obs().cpu(processor).initial_fills;
+    ++machine_->stats(processor).initial_fills;
     Trace(TraceEventType::kFill, page, processor, static_cast<uint32_t>(copy.module));
     EnterMapping(cm, entry, page, vpn, processor, copy, hw::Rights::kReadWrite);
     protocol_->Granted(page, /*write=*/true);
@@ -232,8 +225,7 @@ void CoherentMemory::ResolveWriteFault(Cmap& cm, CmapEntry& entry, Cpage& page, 
     // protocol: migrate present1|present+|modified -> modified
     page.SetState(CpageState::kModified);
     ++page.stats().migrations;
-    ++machine_->stats().migrations;
-    ++machine_->obs().cpu(processor).migrations;
+    ++machine_->stats(processor).migrations;
     Trace(TraceEventType::kMigrate, page, processor, static_cast<uint32_t>(frame->module));
     EnterMapping(cm, entry, page, vpn, processor, *frame, hw::Rights::kReadWrite);
     protocol_->Granted(page, /*write=*/true);
@@ -251,8 +243,7 @@ void CoherentMemory::ResolveWriteFault(Cmap& cm, CmapEntry& entry, Cpage& page, 
   EnterMapping(cm, entry, page, vpn, processor, copy, hw::Rights::kReadWrite);
   page.SetState(CpageState::kModified);  // protocol: upgrade present1|modified -> modified
   ++page.stats().remote_maps;
-  ++machine_->stats().remote_maps;
-  ++machine_->obs().cpu(processor).remote_maps;
+  ++machine_->stats(processor).remote_maps;
   Trace(TraceEventType::kRemoteMap, page, processor, static_cast<uint32_t>(copy.module));
   protocol_->Granted(page, /*write=*/true);
   if (!cache) {
@@ -272,9 +263,7 @@ PhysicalCopy CoherentMemory::LocalCopy(const Cpage& page, int processor) {
 }
 
 std::optional<PhysicalCopy> CoherentMemory::AllocateFrame(Cpage& page, int preferred_module) {
-  int requester = machine_->scheduler().current() != nullptr
-                      ? machine_->scheduler().current_processor()
-                      : preferred_module;
+  int requester = machine_->scheduler().current_processor_or(preferred_module);
   if (auto copy = AllocateFrameOn(page, preferred_module, requester)) {
     return copy;
   }
@@ -348,14 +337,9 @@ void CoherentMemory::FreeCopy(Cpage& page, int module) {
   PhysicalCopy copy = page.RemoveCopy(module);
   machine_->module(module).FreeFrame(copy.frame);
   machine_->Compute(machine_->params().page_free_ns);
-  ++machine_->stats().pages_freed;
+  int processor = machine_->scheduler().current_processor_or(-1);
+  ++machine_->stats(processor).pages_freed;
   ++machine_->obs().module(module).frames_freed;
-  int processor = machine_->scheduler().current() != nullptr
-                      ? machine_->scheduler().current_processor()
-                      : -1;
-  if (processor >= 0) {
-    ++machine_->obs().cpu(processor).pages_freed;
-  }
   Trace(TraceEventType::kPageFree, page, processor, static_cast<uint32_t>(module));
 }
 
@@ -390,16 +374,18 @@ void CoherentMemory::MaybeFreeze(Cpage& page) {
   if (page.copies().size() > 1) {
     return;
   }
+  Freeze(page, machine_->scheduler().current_processor_or(-1));
+}
+
+void CoherentMemory::Freeze(Cpage& page, int processor) {
+  PLAT_CHECK(!page.frozen());
   page.SetFrozen(true);
   page.SetFreezeTime(machine_->scheduler().now());
   frozen_lock_.Acquire();
   frozen_list_.push_back(page.id());
   frozen_lock_.Release();
   ++page.stats().freezes;
-  ++machine_->stats().freezes;
-  int processor = machine_->scheduler().current() != nullptr
-                      ? machine_->scheduler().current_processor()
-                      : -1;
+  ++machine_->stats(processor).freezes;
   Trace(TraceEventType::kFreeze, page, processor, 0);
 }
 
@@ -412,10 +398,8 @@ void CoherentMemory::Unfreeze(Cpage& page) {
   frozen_list_.erase(it);
   frozen_lock_.Release();
   ++page.stats().thaws;
-  ++machine_->stats().thaws;
-  int processor = machine_->scheduler().current() != nullptr
-                      ? machine_->scheduler().current_processor()
-                      : -1;
+  int processor = machine_->scheduler().current_processor_or(-1);
+  ++machine_->stats(processor).thaws;
   Trace(TraceEventType::kThaw, page, processor, 0);
 }
 

@@ -44,7 +44,7 @@ uint32_t CoherentMemory::RestrictCpageToRead(Cpage& page, int initiator,
       mmus_[p].atc().FlushPage(mapper.as_id, mapper.vpn);
       changed |= uint64_t{1} << p;
       ++restricted;
-      ++machine_->stats().mappings_restricted;
+      ++machine_->stats(initiator).mappings_restricted;
       if (round != nullptr && p != initiator && cm.IsActive(p)) {
         round->interrupted_mask |= uint64_t{1} << p;
       }
@@ -93,7 +93,7 @@ uint32_t CoherentMemory::InvalidateMappingsToCopy(Cpage& page, int module, int i
       mmus_[p].atc().FlushPage(mapper.as_id, mapper.vpn);
       changed |= uint64_t{1} << p;
       ++invalidated;
-      ++machine_->stats().mappings_invalidated;
+      ++machine_->stats(initiator).mappings_invalidated;
       if (round != nullptr && p != initiator && cm.IsActive(p)) {
         round->interrupted_mask |= uint64_t{1} << p;
       }
@@ -121,10 +121,8 @@ void CoherentMemory::CommitShootdown(const Cpage& page, const ShootdownRound& ro
       round.invalidated_translations == 0 && round.restricted_translations == 0) {
     return;  // nothing happened
   }
-  ++machine_->stats().shootdowns;
-  if (initiator >= 0) {
-    ++machine_->obs().cpu(initiator).shootdowns_initiated;
-  }
+  sim::MachineStats& counters = machine_->stats(initiator);
+  ++counters.shootdowns;
   Trace(TraceEventType::kShootdown, page, initiator,
         static_cast<uint32_t>(std::popcount(round.interrupted_mask)));
   if (round.interrupted_mask != 0) {
@@ -136,11 +134,11 @@ void CoherentMemory::CommitShootdown(const Cpage& page, const ShootdownRound& ro
     // Initiator-side round-trip of a synchronous round (rounds that only
     // post lazy messages cost nothing and are not recorded).
     machine_->obs().RecordLatency(obs::HistKind::kShootdown, round_cost);
-    machine_->stats().ipis_sent += static_cast<uint64_t>(interrupted);
+    counters.ipis_sent += static_cast<uint64_t>(interrupted);
     for (int p = 0; p < machine_->num_nodes(); ++p) {
       if ((round.interrupted_mask >> p) & 1) {
         machine_->scheduler().AddInterruptCost(p, params.ipi_handler_ns);
-        ++machine_->obs().cpu(p).ipis_received;
+        ++machine_->obs().ipis_received(p);
       }
     }
   }

@@ -75,9 +75,9 @@ void TardisProtocol::WaitForLeaseExpiry(sim::SimTime until) {
     return;
   }
   sched.AdvanceTo(until);
-  sim::MachineStats& stats = memory_->machine_->stats();
-  ++stats.lease_waits;
-  stats.lease_wait_ns += until - now;
+  sim::MachineStats& counters = memory_->machine_->stats(sched.current_processor_or(-1));
+  ++counters.lease_waits;
+  counters.lease_wait_ns += until - now;
 }
 
 void TardisProtocol::Granted(Cpage& page, bool write) {

@@ -23,16 +23,26 @@ const char* HistKindName(HistKind kind) {
 }
 
 Observability::Observability(int num_nodes)
-    : cpu_(static_cast<size_t>(num_nodes)), module_(static_cast<size_t>(num_nodes)) {
+    : cpu_(static_cast<size_t>(num_nodes) + 1),
+      ipis_received_(static_cast<size_t>(num_nodes)),
+      module_(static_cast<size_t>(num_nodes)) {
   PLAT_CHECK_GT(num_nodes, 0);
+}
+
+sim::MachineStats Observability::Totals() const {
+  sim::MachineStats total;
+  for (const sim::MachineStats& block : cpu_) {
+    total += block;
+  }
+  return total;
 }
 
 LatencyHistogram Observability::hist(HistKind kind) const {
   LatencyHistogram h = hist_[static_cast<size_t>(kind)];
   if (kind == HistKind::kModuleQueue) {
     uint64_t references = 0;
-    for (const ProcessorCounters& c : cpu_) {
-      references += c.local_refs + c.remote_refs;
+    for (const sim::MachineStats& block : cpu_) {
+      references += block.total_references();
     }
     PLAT_CHECK_GE(references, h.count())
         << "module-queue histogram holds more waits than the processors issued references";
@@ -92,10 +102,10 @@ std::string Observability::ToString() const {
   out << "cpu   faults  (r/w)            fills  repl  migr  rmaps  shoot  ipis   "
          "local-refs  remote-refs\n";
   char line[192];
-  for (size_t p = 0; p < cpu_.size(); ++p) {
-    const ProcessorCounters& c = cpu_[p];
+  for (int p = 0; p < num_nodes(); ++p) {
+    const sim::MachineStats& c = cpu(p);
     std::snprintf(line, sizeof(line),
-                  "%-5zu %-7llu (%llu/%llu)%*s%-6llu %-5llu %-5llu %-6llu %-6llu %-6llu "
+                  "%-5d %-7llu (%llu/%llu)%*s%-6llu %-5llu %-5llu %-6llu %-6llu %-6llu "
                   "%-11llu %llu\n",
                   p, static_cast<unsigned long long>(c.faults),
                   static_cast<unsigned long long>(c.read_faults),
@@ -104,10 +114,10 @@ std::string Observability::ToString() const {
                   static_cast<unsigned long long>(c.replications),
                   static_cast<unsigned long long>(c.migrations),
                   static_cast<unsigned long long>(c.remote_maps),
-                  static_cast<unsigned long long>(c.shootdowns_initiated),
-                  static_cast<unsigned long long>(c.ipis_received),
-                  static_cast<unsigned long long>(c.local_refs),
-                  static_cast<unsigned long long>(c.remote_refs));
+                  static_cast<unsigned long long>(c.shootdowns),
+                  static_cast<unsigned long long>(ipis_received(p)),
+                  static_cast<unsigned long long>(c.local_reads + c.local_writes),
+                  static_cast<unsigned long long>(c.remote_references()));
     out << line;
   }
   out << "module  refs-served  bt-in  bt-out  frames-alloc  frames-freed  queue-wait-ms\n";

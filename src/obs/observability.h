@@ -1,9 +1,12 @@
 // The kernel instrumentation registry (Sections 1.1, 9).
 //
-// One Observability object per simulated machine collects everything the
-// global MachineStats counters cannot express:
-//   * per-processor and per-module counter breakdowns (who faulted, which
-//     module served the traffic, who took the IPIs);
+// One Observability object per simulated machine collects:
+//   * the event counters: one sim::MachineStats block per processor, plus one
+//     for work done outside any fiber. Each event is counted once, in the
+//     block of the processor that issued or suffered it (who faulted, who
+//     replicated, who took the IPIs); the machine-wide counters are their
+//     sum (Totals(), sim::Machine::stats());
+//   * per-module counters (which module served the traffic);
 //   * latency histograms for the protocol's expensive operations (fault
 //     service, shootdown round-trip, block transfer, module queueing);
 //   * named spans and phases, so experiments can attribute counters and
@@ -11,7 +14,7 @@
 // Recording is always on. Each simulated reference is counted once, by
 // sim::Interconnect::Reference; each module's references_served() and the
 // module-queue histogram's zero bucket are derived from those counts when
-// read. An uncontended local reference costs two counter increments and a bus
+// read. An uncontended local reference costs one counter increment and a bus
 // store; recording a zero wait for each one used to take a quarter of a gauss
 // run's sampled host time (docs/PERFORMANCE.md, "Count each reference once").
 #ifndef SRC_OBS_OBSERVABILITY_H_
@@ -27,23 +30,6 @@
 #include "src/sim/time.h"
 
 namespace platinum::obs {
-
-// Per-processor protocol activity: the breakdown of MachineStats by the
-// processor that initiated (or suffered) each event.
-struct ProcessorCounters {
-  uint64_t faults = 0;
-  uint64_t read_faults = 0;
-  uint64_t write_faults = 0;
-  uint64_t initial_fills = 0;
-  uint64_t replications = 0;
-  uint64_t migrations = 0;
-  uint64_t remote_maps = 0;
-  uint64_t shootdowns_initiated = 0;
-  uint64_t ipis_received = 0;
-  uint64_t local_refs = 0;
-  uint64_t remote_refs = 0;
-  uint64_t pages_freed = 0;
-};
 
 // Per-memory-module activity: the traffic each module's bus served. Its local
 // references are counted by their requester (see references_served()).
@@ -99,16 +85,24 @@ class Observability {
  public:
   explicit Observability(int num_nodes);
 
-  int num_nodes() const { return static_cast<int>(cpu_.size()); }
-  ProcessorCounters& cpu(int p) { return cpu_[static_cast<size_t>(p)]; }
-  const ProcessorCounters& cpu(int p) const { return cpu_[static_cast<size_t>(p)]; }
+  int num_nodes() const { return static_cast<int>(module_.size()); }
+  // The counter block of processor `p`; p = -1 is the block for work done
+  // outside any fiber.
+  sim::MachineStats& cpu(int p) { return cpu_[static_cast<size_t>(p + 1)]; }
+  const sim::MachineStats& cpu(int p) const { return cpu_[static_cast<size_t>(p + 1)]; }
+  // The machine-wide counters: the sum of every block.
+  sim::MachineStats Totals() const;
+  // Interrupts processor `p` took from other processors' shootdown rounds
+  // (each round's initiator counts them in its ipis_sent).
+  uint64_t& ipis_received(int p) { return ipis_received_[static_cast<size_t>(p)]; }
+  uint64_t ipis_received(int p) const { return ipis_received_[static_cast<size_t>(p)]; }
   ModuleCounters& module(int m) { return module_[static_cast<size_t>(m)]; }
   const ModuleCounters& module(int m) const { return module_[static_cast<size_t>(m)]; }
 
   // References served by module `m`'s bus. A local reference's requester is
-  // its target, so its local ones are processor `m`'s local_refs.
+  // its target, so its local ones are processor `m`'s local reads and writes.
   uint64_t references_served(int m) const {
-    return cpu(m).local_refs + module(m).remote_references_served;
+    return cpu(m).local_reads + cpu(m).local_writes + module(m).remote_references_served;
   }
 
   // The histogram of `kind`. The module-queue histogram stores only queued
@@ -126,7 +120,7 @@ class Observability {
 
   // --- Phases ----------------------------------------------------------------
   // Phases may nest; EndPhase closes the innermost open phase. `stats` is the
-  // machine's counter block at the boundary (so the phase can report deltas).
+  // machine-wide counters at the boundary (so the phase can report deltas).
   void BeginPhase(std::string name, sim::SimTime now, const sim::MachineStats& stats);
   void EndPhase(sim::SimTime now, const sim::MachineStats& stats);
   const std::vector<Phase>& phases() const { return phases_; }
@@ -139,7 +133,8 @@ class Observability {
  private:
   static constexpr size_t kMaxSpans = 1 << 16;
 
-  std::vector<ProcessorCounters> cpu_;
+  std::vector<sim::MachineStats> cpu_;  // cpu_[p + 1] is processor p's block
+  std::vector<uint64_t> ipis_received_;
   std::vector<ModuleCounters> module_;
   std::array<LatencyHistogram, kNumHistKinds> hist_;
   std::vector<Span> spans_;

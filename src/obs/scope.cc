@@ -7,8 +7,7 @@ namespace platinum::obs {
 ObsScope::ObsScope(sim::Machine& machine, std::string name)
     : machine_(machine), name_(std::move(name)) {
   const sim::Scheduler& sched = machine_.scheduler();
-  processor_ = sched.current() != nullptr ? static_cast<int16_t>(sched.current_processor())
-                                          : int16_t{-1};
+  processor_ = static_cast<int16_t>(sched.current_processor_or(-1));
   thread_ = sched.current() != nullptr ? sched.current()->id() : 0;
   begin_ = sched.now();
 }

@@ -7,24 +7,24 @@
 namespace platinum::sim {
 
 Interconnect::Interconnect(const MachineParams& params, std::vector<MemoryModule>* modules,
-                           MachineStats* stats, obs::Observability* obs)
-    : params_(params), modules_(modules), stats_(stats), obs_(obs) {
+                           obs::Observability* obs)
+    : params_(params), modules_(modules), obs_(obs) {
   PLAT_CHECK(modules_ != nullptr);
-  PLAT_CHECK(stats_ != nullptr);
   PLAT_CHECK(obs_ != nullptr);
 }
 
 SimTime Interconnect::Queue(MemoryModule& module, int target_node, SimTime occupancy,
-                            SimTime now) {
+                            SimTime now, MachineStats& requester) {
   SimTime wait = module.bus_busy_until - now;
   module.bus_busy_until += occupancy;
-  stats_->module_wait_ns += wait;
+  requester.module_wait_ns += wait;
   obs_->module(target_node).queue_wait_ns += wait;
   obs_->RecordLatency(obs::HistKind::kModuleQueue, wait);
   return wait;
 }
 
-SimTime Interconnect::BlockTransfer(int src_node, int dst_node, uint32_t words, SimTime now) {
+SimTime Interconnect::BlockTransfer(int requester_node, int src_node, int dst_node,
+                                    uint32_t words, SimTime now) {
   PLAT_CHECK_NE(src_node, dst_node);
   MemoryModule& src = (*modules_)[src_node];
   MemoryModule& dst = (*modules_)[dst_node];
@@ -39,9 +39,10 @@ SimTime Interconnect::BlockTransfer(int src_node, int dst_node, uint32_t words, 
   src.bus_busy_until = start + steal;
   dst.bus_busy_until = start + steal;
 
-  stats_->module_wait_ns += start - now;
-  ++stats_->block_transfers;
-  stats_->block_words_copied += words;
+  MachineStats& requester = obs_->cpu(requester_node);
+  requester.module_wait_ns += start - now;
+  ++requester.block_transfers;
+  requester.block_words_copied += words;
   ++obs_->module(src_node).block_transfers_out;
   ++obs_->module(dst_node).block_transfers_in;
   return end;

@@ -26,37 +26,35 @@ enum class AccessKind : uint8_t { kRead, kWrite };
 class Interconnect {
  public:
   Interconnect(const MachineParams& params, std::vector<MemoryModule>* modules,
-               MachineStats* stats, obs::Observability* obs);
+               obs::Observability* obs);
 
   // Latency of one 32-bit reference issued at virtual time `now` by
   // `requester_node` against `target_node`'s module, including any time spent
   // queued behind other traffic. Updates module bus occupancy and stats.
-  // Counts the reference once: its MachineStats kind counter, the requester's
-  // local_refs or remote_refs and, if remote, the target's
-  // remote_references_served. On a free bus that is all; only a queued
-  // reference calls Queue, which records its wait.
+  // Counts the reference once: the kind counter of the requester's block and,
+  // if remote, the target's remote_references_served. On a free bus that is
+  // all; only a queued reference calls Queue, which records its wait.
   [[gnu::always_inline]] SimTime Reference(int requester_node, int target_node, AccessKind kind,
                                            SimTime now) {
+    MachineStats& requester = obs_->cpu(requester_node);
     SimTime base;
     SimTime occupancy;
     if (requester_node == target_node) {
       base = kind == AccessKind::kRead ? params_.local_read_ns : params_.local_write_ns;
       occupancy = params_.module_occupancy_local_ns;
       if (kind == AccessKind::kRead) {
-        ++stats_->local_reads;
+        ++requester.local_reads;
       } else {
-        ++stats_->local_writes;
+        ++requester.local_writes;
       }
-      ++obs_->cpu(requester_node).local_refs;
     } else {
       base = kind == AccessKind::kRead ? params_.remote_read_ns : params_.remote_write_ns;
       occupancy = params_.module_occupancy_remote_ns;
       if (kind == AccessKind::kRead) {
-        ++stats_->remote_reads;
+        ++requester.remote_reads;
       } else {
-        ++stats_->remote_writes;
+        ++requester.remote_writes;
       }
-      ++obs_->cpu(requester_node).remote_refs;
       ++obs_->module(target_node).remote_references_served;
     }
 
@@ -65,23 +63,25 @@ class Interconnect {
       module.bus_busy_until = now + occupancy;
       return base;
     }
-    return Queue(module, target_node, occupancy, now) + base;
+    return Queue(module, target_node, occupancy, now, requester) + base;
   }
 
   // Schedules a block transfer of `words` 32-bit words from `src_node` to
-  // `dst_node` starting no earlier than `now`. Returns the completion time.
-  // Both modules' buses are largely consumed for the duration.
-  SimTime BlockTransfer(int src_node, int dst_node, uint32_t words, SimTime now);
+  // `dst_node` starting no earlier than `now`, counted in `requester_node`'s
+  // block (-1: outside any fiber). Returns the completion time. Both modules'
+  // buses are largely consumed for the duration.
+  SimTime BlockTransfer(int requester_node, int src_node, int dst_node, uint32_t words,
+                        SimTime now);
 
  private:
   // The rest of a reference that finds `module`'s bus busy at `now`: waits for
-  // the bus, occupies it, and records the wait. Returns the wait.
+  // the bus, occupies it, and records the wait, in `requester`'s block among
+  // others. Returns the wait.
   [[gnu::cold]] SimTime Queue(MemoryModule& module, int target_node, SimTime occupancy,
-                              SimTime now);
+                              SimTime now, MachineStats& requester);
 
   const MachineParams& params_;
   std::vector<MemoryModule>* modules_;
-  MachineStats* stats_;
   obs::Observability* obs_;
 };
 

@@ -13,7 +13,7 @@ Machine::Machine(const MachineParams& params)
       }()),
       obs_(params_.num_processors),
       scheduler_(params_.num_processors, params_.quantum_ns),
-      interconnect_(params_, &modules_, &stats_, &obs_) {
+      interconnect_(params_, &modules_, &obs_) {
   modules_.reserve(params_.num_processors);
   for (int node = 0; node < params_.num_processors; ++node) {
     modules_.emplace_back(node, params_);
@@ -30,8 +30,8 @@ void Machine::BlockTransferPage(int src_node, uint32_t src_frame, int dst_node,
                                 uint32_t dst_frame) {
   PLAT_CHECK_NE(src_node, dst_node);
   SimTime started = scheduler_.now();
-  SimTime done = interconnect_.BlockTransfer(src_node, dst_node, params_.words_per_page(),
-                                             started);
+  SimTime done = interconnect_.BlockTransfer(scheduler_.current_processor_or(-1), src_node,
+                                             dst_node, params_.words_per_page(), started);
   std::memcpy(modules_[dst_node].FrameData(dst_frame), modules_[src_node].FrameData(src_frame),
               params_.page_size_bytes);
   scheduler_.AdvanceTo(done);

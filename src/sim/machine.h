@@ -29,8 +29,11 @@ class Machine {
   const MachineParams& params() const { return params_; }
   Scheduler& scheduler() { return scheduler_; }
   const Scheduler& scheduler() const { return scheduler_; }
-  MachineStats& stats() { return stats_; }
-  const MachineStats& stats() const { return stats_; }
+  // The machine-wide counters, summed over the processors' blocks. A value:
+  // later events do not show in it.
+  MachineStats stats() const { return obs_.Totals(); }
+  // The block `processor` counts its events in (-1: outside any fiber).
+  MachineStats& stats(int processor) { return obs_.cpu(processor); }
   obs::Observability& obs() { return obs_; }
   const obs::Observability& obs() const { return obs_; }
   int num_nodes() const { return params_.num_processors; }
@@ -41,8 +44,7 @@ class Machine {
   // One 32-bit reference against `target_node` from the current processor
   // (processor 0 outside any fiber). Returns the latency charged.
   SimTime Reference(int target_node, AccessKind kind) {
-    int requester = scheduler_.current() != nullptr ? scheduler_.current_processor() : 0;
-    return Reference(requester, target_node, kind);
+    return Reference(scheduler_.current_processor_or(0), target_node, kind);
   }
   // As above, for a caller that already knows the current processor (the
   // coherent-memory access path).
@@ -55,8 +57,8 @@ class Machine {
   void Compute(SimTime duration) { scheduler_.Advance(duration); }
 
   // Copies a whole page between frames on two nodes with the block-transfer
-  // engine, moving the real bytes and charging the initiator until the
-  // transfer completes.
+  // engine, moving the real bytes and charging the initiator (the current
+  // processor) until the transfer completes.
   void BlockTransferPage(int src_node, uint32_t src_frame, int dst_node, uint32_t dst_frame);
 
   // --- Untimed data plumbing -------------------------------------------------
@@ -76,7 +78,6 @@ class Machine {
 
  private:
   const MachineParams params_;
-  MachineStats stats_;
   obs::Observability obs_;
   Scheduler scheduler_;
   std::vector<MemoryModule> modules_;

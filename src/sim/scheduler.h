@@ -75,6 +75,10 @@ class Scheduler {
     PLAT_CHECK(current_ != nullptr) << "no fiber is running";
     return current_->processor_;
   }
+  // The current fiber's processor, or `outside` when no fiber is running.
+  int current_processor_or(int outside) const {
+    return current_ != nullptr ? current_->processor_ : outside;
+  }
   int num_processors() const { return static_cast<int>(processor_available_.size()); }
   uint64_t context_switches() const { return switches_; }
 

@@ -1,5 +1,7 @@
 #include "src/sim/stats.h"
 
+#include <array>
+#include <bit>
 #include <sstream>
 
 namespace platinum::sim {
@@ -26,35 +28,28 @@ std::string MachineStats::ToString() const {
   return out.str();
 }
 
+namespace {
+
+using Words = std::array<uint64_t, sizeof(MachineStats) / 8>;
+
+}  // namespace
+
+MachineStats& MachineStats::operator+=(const MachineStats& other) {
+  Words sum = std::bit_cast<Words>(*this);
+  const Words add = std::bit_cast<Words>(other);
+  for (size_t i = 0; i < sum.size(); ++i) {
+    sum[i] += add[i];
+  }
+  return *this = std::bit_cast<MachineStats>(sum);
+}
+
 MachineStats operator-(const MachineStats& a, const MachineStats& b) {
-  MachineStats d;
-  d.local_reads = a.local_reads - b.local_reads;
-  d.local_writes = a.local_writes - b.local_writes;
-  d.remote_reads = a.remote_reads - b.remote_reads;
-  d.remote_writes = a.remote_writes - b.remote_writes;
-  d.atc_hits = a.atc_hits - b.atc_hits;
-  d.atc_misses = a.atc_misses - b.atc_misses;
-  d.faults = a.faults - b.faults;
-  d.read_faults = a.read_faults - b.read_faults;
-  d.write_faults = a.write_faults - b.write_faults;
-  d.replications = a.replications - b.replications;
-  d.migrations = a.migrations - b.migrations;
-  d.remote_maps = a.remote_maps - b.remote_maps;
-  d.initial_fills = a.initial_fills - b.initial_fills;
-  d.freezes = a.freezes - b.freezes;
-  d.thaws = a.thaws - b.thaws;
-  d.shootdowns = a.shootdowns - b.shootdowns;
-  d.ipis_sent = a.ipis_sent - b.ipis_sent;
-  d.mappings_invalidated = a.mappings_invalidated - b.mappings_invalidated;
-  d.mappings_restricted = a.mappings_restricted - b.mappings_restricted;
-  d.pages_freed = a.pages_freed - b.pages_freed;
-  d.block_transfers = a.block_transfers - b.block_transfers;
-  d.block_words_copied = a.block_words_copied - b.block_words_copied;
-  d.module_wait_ns = a.module_wait_ns - b.module_wait_ns;
-  d.fault_handler_wait_ns = a.fault_handler_wait_ns - b.fault_handler_wait_ns;
-  d.lease_waits = a.lease_waits - b.lease_waits;
-  d.lease_wait_ns = a.lease_wait_ns - b.lease_wait_ns;
-  return d;
+  Words d = std::bit_cast<Words>(a);
+  const Words sub = std::bit_cast<Words>(b);
+  for (size_t i = 0; i < d.size(); ++i) {
+    d[i] -= sub[i];
+  }
+  return std::bit_cast<MachineStats>(d);
 }
 
 }  // namespace platinum::sim

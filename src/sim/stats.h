@@ -1,14 +1,17 @@
-// Machine-wide event counters.
+// Event counters.
 //
-// Counters are incremented by every layer (interconnect, MMU, coherent
-// memory) and snapshotted by experiments; differences between snapshots give
-// per-phase behaviour. Per-Cpage statistics live with the Cpage table
-// (src/mem/cpage.h), mirroring the kernel's post-mortem report in the paper.
+// One block per processor (obs::Observability::cpu) counts each event once,
+// in the block of the processor that issued or suffered it; the machine-wide
+// counters are the sum of the blocks (sim::Machine::stats). Experiments
+// snapshot them; differences between snapshots give per-phase behaviour.
+// Per-Cpage statistics live with the Cpage table (src/mem/cpage.h),
+// mirroring the kernel's post-mortem report in the paper.
 #ifndef SRC_SIM_STATS_H_
 #define SRC_SIM_STATS_H_
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "src/sim/time.h"
 
@@ -58,7 +61,15 @@ struct MachineStats {
 
   // Multi-line human-readable dump.
   std::string ToString() const;
+
+  // Counter-wise sum. Used to add up the per-processor blocks.
+  MachineStats& operator+=(const MachineStats& other);
 };
+
+// The counter-wise operators treat the struct as an array of 64-bit words, so
+// a counter added to it needs no line there.
+static_assert(std::has_unique_object_representations_v<MachineStats> &&
+              sizeof(MachineStats) % 8 == 0);
 
 // a - b, counter-wise. Used for phase deltas.
 MachineStats operator-(const MachineStats& a, const MachineStats& b);

@@ -18,7 +18,7 @@ class InterconnectTest : public ::testing::Test {
     for (int i = 0; i < 4; ++i) {
       modules_.emplace_back(i, params_);
     }
-    net_ = std::make_unique<Interconnect>(params_, &modules_, &stats_, &obs_);
+    net_ = std::make_unique<Interconnect>(params_, &modules_, &obs_);
   }
 
   // Issues one reference and keeps the test's own account of it: its wait
@@ -48,7 +48,7 @@ class InterconnectTest : public ::testing::Test {
     EXPECT_EQ(Ref(1, 1, AccessKind::kRead, t0 + 5000), 0u);
     EXPECT_EQ(Ref(3, 3, AccessKind::kRead, t0), 0u);
     SimTime duration = 1024 * params_.block_copy_word_ns;
-    SimTime block_wait = net_->BlockTransfer(2, 3, 1024, t0 + 100) - duration - (t0 + 100);
+    SimTime block_wait = net_->BlockTransfer(2, 2, 3, 1024, t0 + 100) - duration - (t0 + 100);
     EXPECT_EQ(block_wait, params_.module_occupancy_local_ns - 100);
     EXPECT_GT(Ref(2, 2, AccessKind::kRead, t0 + 1000), 0u);
     EXPECT_GT(Ref(0, 3, AccessKind::kRead, t0 + 2000), 0u);
@@ -67,7 +67,6 @@ class InterconnectTest : public ::testing::Test {
 
   MachineParams params_;
   std::vector<MemoryModule> modules_;
-  MachineStats stats_;
   obs::Observability obs_;
   std::unique_ptr<Interconnect> net_;
   obs::LatencyHistogram waits_;
@@ -77,12 +76,12 @@ class InterconnectTest : public ::testing::Test {
 
 TEST_F(InterconnectTest, LocalReadLatency) {
   EXPECT_EQ(net_->Reference(0, 0, AccessKind::kRead, 0), params_.local_read_ns);
-  EXPECT_EQ(stats_.local_reads, 1u);
+  EXPECT_EQ(obs_.Totals().local_reads, 1u);
 }
 
 TEST_F(InterconnectTest, RemoteReadLatency) {
   EXPECT_EQ(net_->Reference(0, 1, AccessKind::kRead, 0), params_.remote_read_ns);
-  EXPECT_EQ(stats_.remote_reads, 1u);
+  EXPECT_EQ(obs_.Totals().remote_reads, 1u);
 }
 
 TEST_F(InterconnectTest, RemoteWritesAreCheaperThanReads) {
@@ -98,7 +97,7 @@ TEST_F(InterconnectTest, ContentionQueuesAtTargetModule) {
   SimTime second = net_->Reference(1, 2, AccessKind::kRead, 0);
   EXPECT_EQ(first, params_.remote_read_ns);
   EXPECT_EQ(second, params_.remote_read_ns + params_.module_occupancy_remote_ns);
-  EXPECT_GT(stats_.module_wait_ns, SimTime{0});
+  EXPECT_GT(obs_.Totals().module_wait_ns, SimTime{0});
 }
 
 TEST_F(InterconnectTest, NoContentionAcrossModules) {
@@ -115,15 +114,15 @@ TEST_F(InterconnectTest, ContentionDrainsOverTime) {
 }
 
 TEST_F(InterconnectTest, BlockTransferTakesPaperPageCopyTime) {
-  SimTime done = net_->BlockTransfer(0, 1, params_.words_per_page(), 0);
+  SimTime done = net_->BlockTransfer(0, 0, 1, params_.words_per_page(), 0);
   // Section 4: 1.11 ms for a 4 KB page.
   EXPECT_NEAR(ToMilliseconds(done), 1.11, 0.01);
-  EXPECT_EQ(stats_.block_transfers, 1u);
-  EXPECT_EQ(stats_.block_words_copied, params_.words_per_page());
+  EXPECT_EQ(obs_.Totals().block_transfers, 1u);
+  EXPECT_EQ(obs_.Totals().block_words_copied, params_.words_per_page());
 }
 
 TEST_F(InterconnectTest, BlockTransferStealsBothBuses) {
-  SimTime done = net_->BlockTransfer(0, 1, 1024, 0);
+  SimTime done = net_->BlockTransfer(0, 0, 1, 1024, 0);
   SimTime duration = done;
   // A reference to either module now queues behind ~75% of the transfer.
   SimTime src_ref = net_->Reference(2, 0, AccessKind::kRead, 0);
@@ -134,8 +133,8 @@ TEST_F(InterconnectTest, BlockTransferStealsBothBuses) {
 }
 
 TEST_F(InterconnectTest, BackToBackBlockTransfersSerialize) {
-  SimTime first = net_->BlockTransfer(0, 1, 1024, 0);
-  SimTime second = net_->BlockTransfer(0, 1, 1024, 0);
+  SimTime first = net_->BlockTransfer(0, 0, 1, 1024, 0);
+  SimTime second = net_->BlockTransfer(0, 0, 1, 1024, 0);
   EXPECT_GT(second, first);
 }
 
@@ -147,7 +146,7 @@ TEST_F(InterconnectTest, DerivedViewsEqualAPerReferenceAccount) {
   ASSERT_GT(waits_.buckets()[0], 0u);
   ASSERT_LT(waits_.buckets()[0], waits_.count());
   ExpectSameHistogram(obs_.hist(obs::HistKind::kModuleQueue), waits_);
-  EXPECT_EQ(stats_.total_references(), waits_.count());
+  EXPECT_EQ(obs_.Totals().total_references(), waits_.count());
   SimTime queued = 0;
   for (int m = 0; m < 4; ++m) {
     EXPECT_EQ(obs_.references_served(m), served_[static_cast<size_t>(m)]) << "module " << m;
@@ -155,7 +154,7 @@ TEST_F(InterconnectTest, DerivedViewsEqualAPerReferenceAccount) {
         << "module " << m;
     queued += obs_.module(m).queue_wait_ns;
   }
-  EXPECT_EQ(stats_.module_wait_ns, queued + block_wait);
+  EXPECT_EQ(obs_.Totals().module_wait_ns, queued + block_wait);
 }
 
 TEST_F(InterconnectTest, ModuleQueueHistogramOfNoReferencesIsEmpty) {
@@ -166,7 +165,7 @@ TEST_F(InterconnectTest, ModuleQueueHistogramOfNoReferencesIsEmpty) {
 }
 
 TEST_F(InterconnectTest, OnlyQueuedReferencesLeaveBucketZeroEmpty) {
-  net_->BlockTransfer(0, 1, 1024, 0);
+  net_->BlockTransfer(0, 0, 1, 1024, 0);
   Ref(2, 0, AccessKind::kRead, 0);
   Ref(3, 1, AccessKind::kWrite, 0);
   Ref(0, 0, AccessKind::kRead, 0);
@@ -198,9 +197,9 @@ TEST_F(InterconnectTest, PhaseDeltaCountsTheReferencesAndWaitsInside) {
   Ref(0, 0, AccessKind::kRead, 0);
   Ref(1, 0, AccessKind::kRead, 0);
   obs::LatencyHistogram before = waits_;
-  obs_.BeginPhase("mixed", kMillisecond, stats_);
+  obs_.BeginPhase("mixed", kMillisecond, obs_.Totals());
   RunMixedSequence(kMillisecond);
-  obs_.EndPhase(2 * kMillisecond, stats_);
+  obs_.EndPhase(2 * kMillisecond, obs_.Totals());
   obs::LatencyHistogram inside = waits_.Since(before);
   Ref(2, 0, AccessKind::kRead, 2 * kMillisecond);
   EXPECT_GT(Ref(1, 0, AccessKind::kRead, 2 * kMillisecond), 0u);
