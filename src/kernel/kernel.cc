@@ -65,6 +65,7 @@ void Kernel::Map(vm::AddressSpace* space, vm::MemoryObject* object, uint32_t obj
 
 void Kernel::Unmap(vm::AddressSpace* space, uint32_t vpn, uint32_t num_pages) {
   PLAT_CHECK(space != nullptr);
+  space->RemoveBinding(vpn, num_pages);
   for (uint32_t i = 0; i < num_pages; ++i) {
     memory_->UnbindPage(space->id(), vpn + i);
   }

@@ -77,6 +77,8 @@ class Kernel {
   // range starting at page `vpn`.
   void Map(vm::AddressSpace* space, vm::MemoryObject* object, uint32_t object_page,
            uint32_t num_pages, uint32_t vpn, hw::Rights rights);
+  // Removes the binding one Map made at `vpn` of `num_pages` pages and unbinds
+  // its pages, so the range can be mapped again.
   void Unmap(vm::AddressSpace* space, uint32_t vpn, uint32_t num_pages);
 
   // --- Threads -----------------------------------------------------------------

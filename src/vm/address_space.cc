@@ -1,5 +1,7 @@
 #include "src/vm/address_space.h"
 
+#include <algorithm>
+
 #include "src/base/check.h"
 #include "src/vm/memory_object.h"
 
@@ -18,6 +20,15 @@ void AddressSpace::AddBinding(const Binding& binding) {
     PLAT_CHECK(disjoint) << "overlapping binding at vpn " << binding.vpn << " in space " << name_;
   }
   bindings_.push_back(binding);
+}
+
+void AddressSpace::RemoveBinding(uint32_t vpn, uint32_t num_pages) {
+  auto it = std::find_if(bindings_.begin(), bindings_.end(), [&](const Binding& binding) {
+    return binding.vpn == vpn && binding.num_pages == num_pages;
+  });
+  PLAT_CHECK(it != bindings_.end()) << "no binding spans exactly vpns [" << vpn << ", "
+                                    << vpn + num_pages << ") in space " << name_;
+  bindings_.erase(it);
 }
 
 const Binding* AddressSpace::FindBinding(uint32_t vpn) const {

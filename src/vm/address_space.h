@@ -38,6 +38,9 @@ class AddressSpace {
 
   const std::vector<Binding>& bindings() const { return bindings_; }
   void AddBinding(const Binding& binding);
+  // Removes the binding that starts at `vpn` and spans exactly `num_pages`;
+  // aborts if there is none.
+  void RemoveBinding(uint32_t vpn, uint32_t num_pages);
   // Returns the binding covering `vpn`, or nullptr.
   const Binding* FindBinding(uint32_t vpn) const;
 

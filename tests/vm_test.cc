@@ -102,5 +102,37 @@ TEST(VmIntegrationTest, PartialObjectMapping) {
             mem::CpageState::kEmpty);
 }
 
+// Unmapping removes the binding, so another object can be mapped at the same
+// pages and used.
+TEST(VmIntegrationTest, UnmappedRangeCanBeMappedAgain) {
+  test::TestSystem sys(2);
+  auto* space = sys.kernel.CreateAddressSpace("s");
+  auto* first = sys.kernel.CreateMemoryObject("first", 2);
+  auto* second = sys.kernel.CreateMemoryObject("second", 2);
+  sys.kernel.Map(space, first, 0, 2, 100, hw::Rights::kReadWrite);
+  sys.kernel.Unmap(space, 100, 2);
+  EXPECT_EQ(space->FindBinding(100), nullptr);
+  sys.kernel.Map(space, second, 0, 2, 100, hw::Rights::kReadWrite);
+  test::RunInThread(sys.kernel, space, 0, [&] {
+    sys.kernel.WriteWord(space, 101 * sys.kernel.page_size(), 7);
+    EXPECT_EQ(sys.kernel.ReadWord(space, 101 * sys.kernel.page_size()), 7u);
+  });
+  ASSERT_NE(space->FindBinding(101), nullptr);
+  EXPECT_EQ(space->FindBinding(101)->object, second);
+  const mem::CpageTable& cpages = sys.kernel.memory().cpages();
+  EXPECT_EQ(cpages.at(second->cpage(1)).state(), mem::CpageState::kModified);
+  EXPECT_EQ(cpages.at(first->cpage(1)).state(), mem::CpageState::kEmpty);
+}
+
+TEST(VmIntegrationDeathTest, UnmappingPartOfABindingAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  test::TestSystem sys(2);
+  auto* space = sys.kernel.CreateAddressSpace("s");
+  auto* object = sys.kernel.CreateMemoryObject("obj", 2);
+  sys.kernel.Map(space, object, 0, 2, 100, hw::Rights::kReadWrite);
+  EXPECT_DEATH(sys.kernel.Unmap(space, 100, 1),
+               "no binding spans exactly vpns \\[100, 101\\) in space s");
+}
+
 }  // namespace
 }  // namespace platinum::vm
