@@ -52,6 +52,9 @@ SCENARIOS = {
     "trie_defrost": ["trie", "--procs=16", "--ops=50000", "--keys=16384"],
     # The per-processor and per-module counter tables of Observability::ToString.
     "gauss_histograms": ["gauss", "--procs=4", "--n=48", "--histograms"],
+    # The race detector and the page trace watch the same access path; stdout
+    # carries the detector's summary line.
+    "gauss_races": ["gauss", "--procs=4", "--n=48", "--check-races"],
 }
 # Every scenario runs in a fresh directory with relative artifact names, so
 # the paths platsim echoes to stdout are the same wherever it runs.
