@@ -306,8 +306,6 @@ int main(int argc, char** argv) {
     obs::PageTraceOptions pt_options;
     pt_options.top_k = static_cast<size_t>(std::max(1, options.topk_pages));
     page_trace = std::make_unique<obs::PageTrace>(pt_options);
-    // After EnableRaceDetection, so the detector stays chained behind the
-    // forensics observer.
     kernel.AttachPageTrace(page_trace.get());
   }
   std::unique_ptr<obs::EpochSampler> sampler;

@@ -91,11 +91,13 @@
 
 // Intentional-sharing annotation for data members of observer-hook
 // implementers (mem::PageEventSink / mem::AccessObserver /
-// sim::TimeObserver subclasses).  Hooks run inline on whichever fiber
-// triggered the event, so every mutable member of an implementer is shared
-// across fibers.  Members synchronized by a lock say so with GUARDED_BY;
-// members that are safe *because the whole simulation runs on one host
-// thread and fibers never preempt inside a hook* carry this marker instead.
+// sim::TimeObserver subclasses) and of the hook bases themselves, such as
+// the access count the memory system keeps in a PageEventSink.  Hooks run
+// inline on whichever fiber triggered the event, so every mutable member of
+// an implementer is shared across fibers.  Members synchronized by a lock
+// say so with GUARDED_BY; members that are safe *because the whole
+// simulation runs on one host thread and fibers never preempt inside a
+// hook* carry this marker instead.
 // The platlint `annotation-coverage` rule rejects members with neither.
 #if defined(__clang__) && !defined(SWIG)
 #define PLATINUM_FIBER_SHARED __attribute__((annotate("platinum::fiber_shared")))

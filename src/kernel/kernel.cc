@@ -278,11 +278,6 @@ check::RaceDetector& Kernel::EnableRaceDetection() {
   if (race_detector_ != nullptr) {
     return *race_detector_;
   }
-  // The detector becomes the access observer; replacing an installed one
-  // (an attached PageTrace) would leave it seeing no accesses.
-  PLAT_CHECK(memory_->access_observer() == nullptr)
-      << "call EnableRaceDetection before AttachPageTrace: an access observer is already "
-         "installed";
   race_detector_ = std::make_unique<check::RaceDetector>(
       [this](uint32_t as_id, uint32_t vpn) -> std::string {
         if (as_id < spaces_.size()) {
@@ -305,8 +300,6 @@ check::RaceDetector& Kernel::EnableRaceDetection() {
 
 void Kernel::AttachPageTrace(obs::PageTrace* trace) {
   PLAT_CHECK(trace != nullptr);
-  trace->set_next_access_observer(memory_->access_observer());
-  memory_->SetAccessObserver(trace);
   memory_->SetPageEventSink(trace);
 }
 

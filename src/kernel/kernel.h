@@ -136,11 +136,12 @@ class Kernel {
   std::vector<uint32_t> Receive(Port* port);
 
   // --- Correctness checking (src/check) ---------------------------------------
-  // Creates and installs the simulated race detector (idempotent). Previously
+  // Creates and installs the simulated race detector (idempotent) as the
+  // memory system's access observer, its only consumer. Previously
   // registered synchronization words and intentional-sharing annotations are
-  // replayed into it. Enable before spawning the threads to be checked, and
-  // before AttachPageTrace: the first call aborts when an access observer is
-  // already installed.
+  // replayed into it. Enable before spawning the threads to be checked;
+  // before or after AttachPageTrace makes no difference, since the page
+  // trace takes no access callbacks.
   check::RaceDetector& EnableRaceDetection();
   // The installed detector, or nullptr when race detection is off.
   check::RaceDetector* race_detector() { return race_detector_.get(); }
@@ -154,10 +155,10 @@ class Kernel {
   void AnnotateIntentionalSharing(vm::AddressSpace* space, uint32_t va, uint32_t bytes);
 
   // --- Forensics (src/obs/page_trace.h) ----------------------------------------
-  // Installs `trace` as the memory system's page-event sink and access
-  // observer, chaining any observer already installed (so call this after
-  // EnableRaceDetection when both are wanted). The caller keeps ownership
-  // and must outlive the run.
+  // Installs `trace` as the memory system's page-event sink. The memory
+  // system counts accesses and per-copy reads for it at their source, so it
+  // leaves the access observer (the race detector) alone. The caller keeps
+  // ownership and must outlive the run.
   void AttachPageTrace(obs::PageTrace* trace);
 
   // --- Name space ------------------------------------------------------------------

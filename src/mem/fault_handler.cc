@@ -340,7 +340,8 @@ void CoherentMemory::FreeCopy(Cpage& page, int module) {
   int processor = machine_->scheduler().current_processor_or(-1);
   ++machine_->stats(processor).pages_freed;
   ++machine_->obs().module(module).frames_freed;
-  Trace(TraceEventType::kPageFree, page, processor, static_cast<uint32_t>(module));
+  Trace(TraceEventType::kPageFree, page, processor, static_cast<uint32_t>(module),
+        TakeCopyReads(module, copy.frame));
 }
 
 bool CoherentMemory::DecideCache(Cpage& page, const FaultInfo& fault, sim::SimTime now) {

@@ -52,7 +52,13 @@ struct TraceEvent {
   uint32_t detail = 0;
   // Fiber id of the thread that caused the event (0 outside any fiber).
   uint32_t thread = 0;
+  // kPageFree only: the reads the freed copy served while a page-event sink
+  // was attached (page_event.h), saturating at UINT32_MAX; 0 for every other
+  // event. No exporter writes it.
+  uint32_t reads = 0;
 };
+// The ring holds many of these; `reads` fills what was tail padding.
+static_assert(sizeof(TraceEvent) == 32);
 
 // Fixed-capacity ring buffer; old events are dropped, never reallocated. A
 // capacity of 0 is a valid "count only" log: every event is recorded into

@@ -76,7 +76,7 @@ void PageTrace::UpdateDetectors(PageRollup& r, const mem::TraceEvent& event) {
     case mem::TraceEventType::kReplicate:
       ++r.replications;
       ++r.replicas_created;
-      r.live_replicas.push_back(ReplicaReads{static_cast<int16_t>(event.detail), 0});
+      r.live_replicas.push_back(static_cast<int16_t>(event.detail));
       break;
     case mem::TraceEventType::kMigrate:
       ++r.migrations;
@@ -107,13 +107,12 @@ void PageTrace::UpdateDetectors(PageRollup& r, const mem::TraceEvent& event) {
       break;  // machine-wide; never reaches here (no cpage)
     case mem::TraceEventType::kPageFree: {
       ++r.frees;
-      int16_t module = static_cast<int16_t>(event.detail);
-      auto it = std::find_if(r.live_replicas.begin(), r.live_replicas.end(),
-                             [module](const ReplicaReads& rep) { return rep.module == module; });
+      auto it = std::find(r.live_replicas.begin(), r.live_replicas.end(),
+                          static_cast<int16_t>(event.detail));
       if (it != r.live_replicas.end()) {
         // <= 1: at most the faulting read that created the replica — the
         // copy was torn down before it ever served an independent read.
-        if (it->reads <= 1) {
+        if (event.reads <= 1) {
           ++r.replicas_wasted;
         }
         r.live_replicas.erase(it);
@@ -126,21 +125,6 @@ void PageTrace::UpdateDetectors(PageRollup& r, const mem::TraceEvent& event) {
     case mem::TraceEventType::kUnbind:
       ++r.unbinds;
       break;
-  }
-}
-
-void PageTrace::OnMemoryAccess(const mem::MemoryAccess& access) {
-  ++accesses_seen_;
-  if (!access.is_write && access.cpage < rollups_.size()) {
-    for (ReplicaReads& rep : rollups_[access.cpage].live_replicas) {
-      if (rep.module == access.module) {
-        ++rep.reads;
-        break;
-      }
-    }
-  }
-  if (next_ != nullptr) {
-    next_->OnMemoryAccess(access);
   }
 }
 
@@ -203,7 +187,7 @@ std::string PageTrace::ToJson() const {
   w.BeginObject();
   w.Key("schema").Value("platinum-page-forensics-v1");
   w.Key("events_seen").Value(events_seen());
-  w.Key("accesses_seen").Value(accesses_seen_);
+  w.Key("accesses_seen").Value(accesses_seen());
   w.Key("pages_tracked").Value(static_cast<uint64_t>(pages_tracked()));
   w.Key("rollups_dropped").Value(rollups_dropped_);
   w.Key("ring").BeginObject();

@@ -3,10 +3,11 @@
 // PLATINUM's evaluation hinges on page-level dynamics — which pages
 // ping-pong between writers, freeze and thaw repeatedly, or get replicated
 // only to be invalidated unread (Sections 5-6) — but MachineStats smears all
-// of that into machine-wide totals. PageTrace consumes the coherent-memory
-// hook API (mem::PageEventSink for protocol transitions, mem::AccessObserver
-// for per-word references, each naming its coherent page and the module of
-// the copy it reaches) and maintains:
+// of that into machine-wide totals. PageTrace is a mem::PageEventSink: it
+// sees protocol transitions, never a word access. The producer counts the
+// accesses in the sink and the reads each physical copy served, and hands a
+// freed copy's count to its kPageFree event (TraceEvent::reads). PageTrace
+// maintains:
 //   * a bounded ring of raw protocol events (drop-counted, never grows);
 //   * streaming per-page rollups: event counters, first/last activity, and
 //     the state needed by three derived detectors —
@@ -15,15 +16,16 @@
 //         writer's mapping and counts one alternation (covers two-party
 //         A,B,A,B ping-pong and N-party rotation equally);
 //       - freeze-churn: completed freeze -> thaw cycles per page;
-//       - replication-waste: replicas freed after serving at most one read
-//         (the read that created them), i.e. copies that never paid off.
+//       - replication-waste: replicas whose kPageFree reports at most one
+//         read (the read that created them), i.e. copies that never paid
+//         off.
 // The report is a deterministic JSON document: detector-flagged page lists
 // plus a top-K "hot page" table with bounded per-page timelines filtered
 // from the ring.
 //
 // Layering: this file consumes only the mem hook headers (trace.h,
-// page_event.h, access_observer.h), never coherent-memory internals;
-// tools/platlint enforces exactly that allowance.
+// page_event.h), never coherent-memory internals; tools/platlint enforces
+// that allowance.
 #ifndef SRC_OBS_PAGE_TRACE_H_
 #define SRC_OBS_PAGE_TRACE_H_
 
@@ -32,7 +34,6 @@
 #include <vector>
 
 #include "src/base/thread_annotations.h"
-#include "src/mem/access_observer.h"
 #include "src/mem/page_event.h"
 #include "src/mem/trace.h"
 #include "src/sim/time.h"
@@ -57,14 +58,8 @@ struct PageTraceOptions {
   size_t timeline_events_per_page = 32;
 };
 
-class PageTrace : public mem::PageEventSink, public mem::AccessObserver {
+class PageTrace : public mem::PageEventSink {
  public:
-  // A physical replica created by kReplicate, tracked until its kPageFree.
-  struct ReplicaReads {
-    int16_t module = -1;
-    uint64_t reads = 0;
-  };
-
   struct PageRollup {
     uint64_t events = 0;
     uint64_t faults = 0;
@@ -92,7 +87,8 @@ class PageTrace : public mem::PageEventSink, public mem::AccessObserver {
     // Replication-waste state.
     uint64_t replicas_created = 0;
     uint64_t replicas_wasted = 0;
-    std::vector<ReplicaReads> live_replicas;
+    // Modules holding a replica created by kReplicate, until its kPageFree.
+    std::vector<int16_t> live_replicas;
   };
 
   explicit PageTrace(PageTraceOptions options = {});
@@ -100,17 +96,11 @@ class PageTrace : public mem::PageEventSink, public mem::AccessObserver {
   // --- mem::PageEventSink ------------------------------------------------------
   void OnPageEvent(const mem::TraceEvent& event) override;
 
-  // --- mem::AccessObserver -----------------------------------------------------
-  // Credits a read to the live replica of `access.cpage` on `access.module`,
-  // then forwards to the chained observer (so an installed race detector
-  // keeps working).
-  void OnMemoryAccess(const mem::MemoryAccess& access) override;
-  void set_next_access_observer(mem::AccessObserver* next) { next_ = next; }
-
   // --- Introspection -----------------------------------------------------------
   const PageTraceOptions& options() const { return options_; }
   uint64_t events_seen() const { return ring_.recorded(); }
-  uint64_t accesses_seen() const { return accesses_seen_; }
+  // Word accesses performed while attached, as the producer counted them.
+  uint64_t accesses_seen() const { return accesses(); }
   uint64_t rollups_dropped() const { return rollups_dropped_; }
   const mem::TraceLog& ring() const { return ring_; }
   // Pages with at least one event tracked so far.
@@ -137,7 +127,7 @@ class PageTrace : public mem::PageEventSink, public mem::AccessObserver {
   std::vector<uint32_t> FlaggedReplicationWaste() const;
 
   // The forensics report (schema "platinum-page-forensics-v1"). Deterministic:
-  // depends only on the observed event/access streams.
+  // depends only on the observed event stream and the access count.
   std::string ToJson() const;
 
  private:
@@ -151,8 +141,6 @@ class PageTrace : public mem::PageEventSink, public mem::AccessObserver {
   PageTraceOptions options_ PLATINUM_FIBER_SHARED;
   mem::TraceLog ring_ PLATINUM_FIBER_SHARED;
   std::vector<PageRollup> rollups_ PLATINUM_FIBER_SHARED;
-  mem::AccessObserver* next_ PLATINUM_FIBER_SHARED = nullptr;
-  uint64_t accesses_seen_ PLATINUM_FIBER_SHARED = 0;
   uint64_t rollups_dropped_ PLATINUM_FIBER_SHARED = 0;
 };
 

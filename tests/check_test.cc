@@ -195,16 +195,55 @@ TEST(InvariantOracleTest, DefrostPassThawsSeveralPages) {
   oracle.CheckNow();
 }
 
-// The detector becomes the access observer. Installed after a PageTrace it
-// would replace it, and the trace would go on seeing page events but no
-// accesses; the kernel refuses that order instead.
-TEST(RaceDetectorDeathTest, EnablingAfterAttachPageTraceAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  TestSystem sys(2);
-  obs::PageTrace trace;
-  sys.kernel.AttachPageTrace(&trace);
-  EXPECT_DEATH(sys.kernel.EnableRaceDetection(),
-               "call EnableRaceDetection before AttachPageTrace");
+// The page trace takes no access callbacks, so the detector composes with it
+// in either order: enabled after AttachPageTrace it checks the same accesses,
+// finds the same races, and the trace writes the same report.
+TEST(RaceDetectorTest, EnablingAfterAttachPageTraceMatchesTheOtherOrder) {
+  struct Outcome {
+    std::string summary;
+    uint64_t accesses_checked = 0;
+    uint64_t sync_accesses = 0;
+    uint64_t races_found = 0;
+    uint64_t accesses_seen = 0;
+    std::string page_report;
+  };
+  auto run = [](bool detector_first) {
+    TestSystem sys(4);
+    auto* space = sys.kernel.CreateAddressSpace("order");
+    rt::ZoneAllocator zone(&sys.kernel, space);
+    auto counter = rt::SharedArray<uint32_t>::Create(zone, "locked-counter", 1);
+    auto racy = rt::SharedArray<uint32_t>::Create(zone, "racy-counter", 1);
+    rt::SpinLock lock(zone, "counter-lock");
+    obs::PageTrace trace;
+    if (detector_first) {
+      sys.kernel.EnableRaceDetection();
+    }
+    sys.kernel.AttachPageTrace(&trace);
+    check::RaceDetector& detector = sys.kernel.EnableRaceDetection();
+    rt::RunOnProcessors(sys.kernel, space, 4, "order", [&](int) {
+      for (int i = 0; i < 8; ++i) {
+        lock.Acquire();
+        counter.Set(0, counter.Get(0) + 1);
+        lock.Release();
+        racy.Set(0, racy.Get(0) + 1);
+      }
+    });
+    return Outcome{detector.Summary(),     detector.accesses_checked(),
+                   detector.sync_accesses(), detector.races_found(),
+                   trace.accesses_seen(),  trace.ToJson()};
+  };
+  Outcome before = run(/*detector_first=*/true);
+  Outcome after = run(/*detector_first=*/false);
+  EXPECT_GT(before.accesses_checked, 0u);
+  EXPECT_GT(before.sync_accesses, 0u);
+  EXPECT_GT(before.races_found, 0u);
+  EXPECT_GT(before.accesses_seen, 0u);
+  EXPECT_EQ(after.summary, before.summary);
+  EXPECT_EQ(after.accesses_checked, before.accesses_checked);
+  EXPECT_EQ(after.sync_accesses, before.sync_accesses);
+  EXPECT_EQ(after.races_found, before.races_found);
+  EXPECT_EQ(after.accesses_seen, before.accesses_seen);
+  EXPECT_EQ(after.page_report, before.page_report);
 }
 
 TEST(InvariantOracleDeathTest, CatchesStateDirectoryMismatch) {

@@ -1,7 +1,7 @@
 // Tests for the page-forensics layer (src/obs/page_trace.h) and the epoch
 // sampler (src/obs/timeseries.h): detector semantics on synthetic event
-// streams, bounded-storage drop accounting, observer chaining, and epoch
-// sampling against a real machine run.
+// streams, read attribution and access counting against real machine runs,
+// bounded-storage drop accounting, and epoch sampling.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "src/load/driver.h"
-#include "src/mem/cmap.h"
 #include "src/mem/access_observer.h"
+#include "src/mem/cmap.h"
 #include "src/mem/trace.h"
 #include "src/obs/json.h"
 #include "src/obs/page_trace.h"
@@ -41,6 +41,13 @@ mem::TraceEvent WriteFault(uint32_t cpage, int16_t processor, sim::SimTime time 
 
 mem::TraceEvent ReadFault(uint32_t cpage, int16_t processor, sim::SimTime time = 0) {
   return Event(mem::TraceEventType::kFault, cpage, processor, /*detail=*/0, time);
+}
+
+// The copy of `cpage` on `module` freed after serving `reads` reads.
+mem::TraceEvent PageFree(uint32_t cpage, int16_t processor, uint32_t module, uint32_t reads) {
+  mem::TraceEvent event = Event(mem::TraceEventType::kPageFree, cpage, processor, module);
+  event.reads = reads;
+  return event;
 }
 
 // --- Ping-pong ---------------------------------------------------------------
@@ -132,27 +139,15 @@ TEST(PageTraceTest, ThawWithoutFreezeIsNotACycle) {
 
 // --- Replication waste -------------------------------------------------------
 
-// A read of (address space 0, `vpn`) whose translation reaches `cpage`'s
-// copy on `module`.
-mem::MemoryAccess Read(uint32_t vpn, uint32_t cpage, int module, int processor) {
-  mem::MemoryAccess access;
-  access.vpn = vpn;
-  access.cpage = cpage;
-  access.module = module;
-  access.is_write = false;
-  access.processor = processor;
-  return access;
-}
-
 TEST(PageTraceTest, ReplicaFreedAfterOnlyItsFaultingReadIsWaste) {
   PageTrace pt;
   // Processor 2 read-faults; the protocol replicates onto module 1 and the
-  // faulting read lands on the new copy.
+  // faulting read lands on the new copy. The copy is invalidated before any
+  // independent read, so its kPageFree reports that one read: the copy never
+  // paid off.
   pt.OnPageEvent(ReadFault(7, 2));
   pt.OnPageEvent(Event(mem::TraceEventType::kReplicate, 7, 2, /*detail=*/1));
-  pt.OnMemoryAccess(Read(/*vpn=*/3, /*cpage=*/7, /*module=*/1, /*processor=*/2));
-  // Invalidated before any independent read: the copy never paid off.
-  pt.OnPageEvent(Event(mem::TraceEventType::kPageFree, 7, 0, /*detail=*/1));
+  pt.OnPageEvent(PageFree(7, 0, /*module=*/1, /*reads=*/1));
   EXPECT_EQ(pt.rollup(7)->replicas_created, 1u);
   EXPECT_EQ(pt.rollup(7)->replicas_wasted, 1u);
   EXPECT_TRUE(pt.IsReplicationWaste(*pt.rollup(7)));
@@ -163,23 +158,55 @@ TEST(PageTraceTest, ReplicaWithIndependentReadsIsNotWaste) {
   PageTrace pt;
   pt.OnPageEvent(ReadFault(7, 2));
   pt.OnPageEvent(Event(mem::TraceEventType::kReplicate, 7, 2, /*detail=*/1));
-  pt.OnMemoryAccess(Read(3, 7, 1, 2));  // the faulting read
-  pt.OnMemoryAccess(Read(3, 7, 1, 2));  // a read the replica actually served
-  pt.OnPageEvent(Event(mem::TraceEventType::kPageFree, 7, 0, /*detail=*/1));
+  // The faulting read, and one read the replica actually served.
+  pt.OnPageEvent(PageFree(7, 0, /*module=*/1, /*reads=*/2));
   EXPECT_EQ(pt.rollup(7)->replicas_wasted, 0u);
   EXPECT_FALSE(pt.IsReplicationWaste(*pt.rollup(7)));
 }
 
+// Reads through a vpn rebound to another page reach that page's copy, never
+// the old page's replica on the same module: the replica is freed with only
+// its faulting read to its name.
 TEST(PageTraceTest, UnbindStopsReadAttribution) {
+  constexpr uint32_t kVpn = 100;
+  constexpr uint32_t kOtherVpn = 200;
   PageTrace pt;
-  pt.OnPageEvent(Event(mem::TraceEventType::kReplicate, 7, 2, /*detail=*/1));
-  pt.OnPageEvent(Event(mem::TraceEventType::kUnbind, 7, 2));
-  // vpn 3 is now bound to cpage 8: its reads reach cpage 8's copy on
-  // module 1, never cpage 7's replica there.
-  pt.OnMemoryAccess(Read(3, /*cpage=*/8, 1, 2));
-  pt.OnMemoryAccess(Read(3, 8, 1, 2));
-  pt.OnPageEvent(Event(mem::TraceEventType::kPageFree, 7, 0, /*detail=*/1));
-  EXPECT_EQ(pt.rollup(7)->replicas_wasted, 1u);
+  TestSystem sys(4);
+  sys.kernel.AttachPageTrace(&pt);
+  auto* space = sys.kernel.CreateAddressSpace("s");
+  const uint32_t va = kVpn * sys.kernel.page_size();
+  const uint32_t other_va = kOtherVpn * sys.kernel.page_size();
+  vm::MemoryObject* first = sys.kernel.CreateMemoryObject("first", 1);
+  vm::MemoryObject* second = sys.kernel.CreateMemoryObject("second", 1);
+  sys.kernel.Map(space, first, 0, 1, kVpn, hw::Rights::kReadWrite);
+  sys.kernel.SpawnThread(space, 0, "writer", [&] { sys.kernel.WriteWord(space, va, 5); });
+  sys.kernel.SpawnThread(space, 2, "reader", [&] {
+    sys.machine.scheduler().Sleep(2 * sim::kMillisecond);
+    EXPECT_EQ(sys.kernel.ReadWord(space, va), 5u);  // replicates onto module 2
+  });
+  sys.kernel.Run();
+
+  // Rebind the vpn to the second object; the first stays mapped elsewhere.
+  sys.kernel.Unmap(space, kVpn, 1);
+  sys.kernel.Map(space, second, 0, 1, kVpn, hw::Rights::kReadWrite);
+  sys.kernel.Map(space, first, 0, 1, kOtherVpn, hw::Rights::kReadWrite);
+  sys.kernel.SpawnThread(space, 2, "reader", [&] {
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(sys.kernel.ReadWord(space, va), 0u);  // the second page's own copy
+    }
+  });
+  sys.kernel.SpawnThread(space, 0, "writer", [&] {
+    sys.machine.scheduler().Sleep(2 * sim::kMillisecond);
+    sys.kernel.WriteWord(space, other_va, 6);  // frees the first page's replica
+  });
+  sys.kernel.Run();
+
+  const PageTrace::PageRollup* r = pt.rollup(first->cpage(0));
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->replicas_created, 1u);
+  EXPECT_EQ(r->frees, 1u);
+  EXPECT_EQ(r->replicas_wasted, 1u);
+  EXPECT_EQ(pt.accesses_seen(), 6u);
 }
 
 // A copy ReplicateMemory prefetched onto another node paid off once that
@@ -244,7 +271,7 @@ TEST(PageTraceTest, PagesBeyondMaxPagesAreDropCounted) {
   EXPECT_EQ(pt.ring().recorded(), 3u);
 }
 
-// --- Observer chaining -------------------------------------------------------
+// --- Access observers ---------------------------------------------------------
 
 struct CountingObserver : mem::AccessObserver {
   uint64_t calls = 0;
@@ -254,16 +281,42 @@ struct CountingObserver : mem::AccessObserver {
   }
 };
 
+// The page trace takes no access callbacks, so an access observer installed
+// before or after it keeps receiving every access, and the trace counts the
+// same accesses either way.
 TEST(PageTraceTest, ForwardsAccessesToChainedObserver) {
-  PageTrace pt;
-  CountingObserver next;
-  pt.set_next_access_observer(&next);
-  pt.OnMemoryAccess(Read(0, 0, 0, 0));
-  mem::MemoryAccess write = Read(0, 0, 0, 1);
-  write.is_write = true;
-  pt.OnMemoryAccess(write);
-  EXPECT_EQ(pt.accesses_seen(), 2u);
-  EXPECT_EQ(next.calls, 2u);
+  auto run = [](bool observer_first) {
+    PageTrace pt;
+    CountingObserver observer;
+    TestSystem sys(2);
+    if (observer_first) {
+      sys.kernel.memory().SetAccessObserver(&observer);
+    }
+    sys.kernel.AttachPageTrace(&pt);
+    if (!observer_first) {
+      sys.kernel.memory().SetAccessObserver(&observer);
+    }
+    auto* space = sys.kernel.CreateAddressSpace("s");
+    rt::ZoneAllocator zone(&sys.kernel, space);
+    auto arr = rt::SharedArray<uint32_t>::Create(zone, "words", 8);
+    sys.kernel.SpawnThread(space, 0, "writer", [&] {
+      for (size_t i = 0; i < 8; ++i) {
+        arr.Set(i, static_cast<uint32_t>(i));
+      }
+    });
+    sys.kernel.SpawnThread(space, 1, "reader", [&] {
+      sys.machine.scheduler().Sleep(2 * sim::kMillisecond);
+      uint32_t words[8];
+      arr.GetRange(0, 8, words);
+      EXPECT_EQ(words[7], 7u);
+    });
+    sys.kernel.Run();
+    EXPECT_EQ(pt.accesses_seen(), observer.calls);
+    return pt.accesses_seen();
+  };
+  const uint64_t observer_first = run(true);
+  EXPECT_EQ(observer_first, 16u);
+  EXPECT_EQ(run(false), observer_first);
 }
 
 // --- Report ------------------------------------------------------------------
