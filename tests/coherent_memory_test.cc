@@ -811,8 +811,6 @@ TEST_F(CoherentMemoryTest, AtcConflictRefillsFromPmapWithoutFaulting) {
     sys_.kernel.memory().SetAccessObserver(nullptr);
     ASSERT_EQ(observer.seen.size(), 1u);
     EXPECT_EQ(observer.seen[0].vpn, arr.base_va() / sys_.kernel.page_size());
-    EXPECT_EQ(observer.seen[0].cpage, sys_.kernel.FindMemoryObject("conflict")->cpage(0));
-    EXPECT_EQ(observer.seen[0].module, 0);  // page A's only copy, filled by processor 0
     EXPECT_FALSE(observer.seen[0].is_write);
     EXPECT_EQ(observer.seen[0].processor, 0);
     EXPECT_EQ(observer.seen[0].time, t0 + params.atc_fill_ns);
@@ -828,17 +826,37 @@ TEST_F(CoherentMemoryTest, AtcConflictRefillsFromPmapWithoutFaulting) {
   EXPECT_EQ(stats.atc_hits + stats.atc_misses, stats.total_references());
 }
 
-// Each access record names the coherent page bound at its (as, vpn) and the
-// module whose copy the reference goes to, on every path that reports one:
-// fault, ATC hit, block-transfer run, a vpn rebound to another object, and a
-// remote mapping.
-TEST_F(CoherentMemoryTest, AccessRecordNamesItsCpageAndModule) {
+// Records the page events the memory system emits.
+struct RecordingSink : mem::PageEventSink {
+  void OnPageEvent(const mem::TraceEvent& event) override { events.push_back(event); }
+  // The reads reported by each kPageFree of `cpage`, as (module, reads).
+  std::vector<std::pair<uint32_t, uint32_t>> Frees(uint32_t cpage) const {
+    std::vector<std::pair<uint32_t, uint32_t>> out;
+    for (const mem::TraceEvent& e : events) {
+      if (e.type == mem::TraceEventType::kPageFree && e.cpage == cpage) {
+        out.emplace_back(e.detail, e.reads);
+      }
+    }
+    return out;
+  }
+  std::vector<mem::TraceEvent> events;
+};
+
+// Each freed copy's kPageFree reports the reads that copy served while a
+// page-event sink was attached, on every path a read takes: the fault that
+// replicates onto the reader's node, an ATC hit, a block-transfer run (one
+// read per word), a vpn rebound to another object's page (its reads count
+// for the new page's copy only), and a remote mapping (counted for the
+// copy's module, not the reader's). Writes count nothing.
+TEST_F(CoherentMemoryTest, FreedCopyReportsTheReadsItServed) {
   constexpr uint32_t kVpn = 100;
+  constexpr uint32_t kOtherVpn = 200;
   const uint32_t va = kVpn * sys_.kernel.page_size();
+  const uint32_t other_va = kOtherVpn * sys_.kernel.page_size();
   vm::MemoryObject* first = sys_.kernel.CreateMemoryObject("first", 1);
   sys_.kernel.Map(space_, first, 0, 1, kVpn, hw::Rights::kReadWrite);
-  RecordingObserver observer;
-  sys_.kernel.memory().SetAccessObserver(&observer);
+  RecordingSink sink;
+  sys_.kernel.memory().SetPageEventSink(&sink);
   At(0, 0, [&] { sys_.kernel.WriteWord(space_, va, 5); });  // fills on module 0
   At(1, 2 * kMillisecond, [&] {
     EXPECT_EQ(sys_.kernel.ReadWord(space_, va), 5u);      // read fault: replicates to module 1
@@ -847,56 +865,72 @@ TEST_F(CoherentMemoryTest, AccessRecordNamesItsCpageAndModule) {
     sys_.kernel.ReadWords(space_, va, 4, words);  // one fast run over the same copy
   });
   RunAndCheck();
-  const uint32_t first_cpage = first->cpage(0);
-  ASSERT_EQ(observer.seen.size(), 7u);
-  EXPECT_TRUE(observer.seen[0].is_write);
-  EXPECT_EQ(observer.seen[0].cpage, first_cpage);
-  EXPECT_EQ(observer.seen[0].module, 0);
-  for (size_t i = 1; i < observer.seen.size(); ++i) {
-    EXPECT_EQ(observer.seen[i].processor, 1);
-    EXPECT_EQ(observer.seen[i].cpage, first_cpage) << "record " << i;
-    EXPECT_EQ(observer.seen[i].module, 1) << "record " << i;  // the reader's own replica
-  }
-  for (uint32_t w = 0; w < 4; ++w) {
-    EXPECT_EQ(observer.seen[3 + w].word_offset, w);
-  }
+  EXPECT_EQ(sink.accesses(), 7u);
 
-  // Rebinding the vpn to another object's page: the records name the new
-  // cpage.
+  // Rebind the vpn to another object's page and map the first object
+  // elsewhere; processor 2's reads through the vpn fill and read the second
+  // page's copy on module 2. Processor 0's write then frees the first page's
+  // replica on module 1, and processor 3's write moves the second page off
+  // module 2.
   vm::MemoryObject* second = sys_.kernel.CreateMemoryObject("second", 1);
   sys_.kernel.Unmap(space_, kVpn, 1);
   sys_.kernel.Map(space_, second, 0, 1, kVpn, hw::Rights::kReadWrite);
-  observer.seen.clear();
-  At(2, 0, [&] { EXPECT_EQ(sys_.kernel.ReadWord(space_, va), 0u); });
+  sys_.kernel.Map(space_, first, 0, 1, kOtherVpn, hw::Rights::kReadWrite);
+  At(2, 0, [&] {
+    EXPECT_EQ(sys_.kernel.ReadWord(space_, va), 0u);
+    EXPECT_EQ(sys_.kernel.ReadWord(space_, va + 4), 0u);
+  });
+  At(0, 2 * kMillisecond, [&] { sys_.kernel.WriteWord(space_, other_va, 6); });
+  At(3, 4 * kMillisecond, [&] { sys_.kernel.WriteWord(space_, va, 7); });
   RunAndCheck();
-  sys_.kernel.memory().SetAccessObserver(nullptr);
-  ASSERT_EQ(observer.seen.size(), 1u);
-  EXPECT_NE(second->cpage(0), first_cpage);
-  EXPECT_EQ(observer.seen[0].cpage, second->cpage(0));
-  EXPECT_EQ(observer.seen[0].module, 2);
+  sys_.kernel.memory().SetPageEventSink(nullptr);
+  using Frees = std::vector<std::pair<uint32_t, uint32_t>>;
+  EXPECT_EQ(sink.Frees(first->cpage(0)), (Frees{{1, 6}}));
+  EXPECT_EQ(sink.Frees(second->cpage(0)), (Frees{{2, 2}}));
+  for (const mem::TraceEvent& e : sink.events) {
+    if (e.type != mem::TraceEventType::kPageFree) {
+      EXPECT_EQ(e.reads, 0u) << mem::TraceEventTypeName(e.type);
+    }
+  }
 
   // Under the never-cache policy a read miss maps the page's single copy
-  // remotely: the record names that copy's module, not the reader's node.
-  kernel::KernelOptions options;
-  options.policy = std::make_unique<mem::NeverCachePolicy>();
-  TestSystem never(4, std::move(options));
-  auto* space = never.kernel.CreateAddressSpace("never");
-  vm::MemoryObject* remote = never.kernel.CreateMemoryObject("remote", 1);
-  never.kernel.Map(space, remote, 0, 1, kVpn, hw::Rights::kReadWrite);
-  RecordingObserver remote_observer;
-  never.kernel.memory().SetAccessObserver(&remote_observer);
-  never.kernel.SpawnThread(space, 0, "writer", [&] { never.kernel.WriteWord(space, va, 9); });
-  never.kernel.SpawnThread(space, 3, "reader", [&] {
-    never.machine.scheduler().Sleep(2 * kMillisecond);
-    EXPECT_EQ(never.kernel.ReadWord(space, va), 9u);
-  });
-  never.kernel.Run();
-  never.kernel.memory().SetAccessObserver(nullptr);
-  EXPECT_EQ(never.machine.stats().remote_maps, 1u);
-  ASSERT_EQ(remote_observer.seen.size(), 2u);
-  EXPECT_EQ(remote_observer.seen[1].processor, 3);
-  EXPECT_EQ(remote_observer.seen[1].cpage, remote->cpage(0));
-  EXPECT_EQ(remote_observer.seen[1].module, 0);
+  // remotely: the reads count for that copy's module 0, not the reader's
+  // node. Pinning the page to node 2 frees the copy. A second run with no
+  // sink attached reports no reads on the same free.
+  for (bool attached : {true, false}) {
+    kernel::KernelOptions options;
+    options.policy = std::make_unique<mem::NeverCachePolicy>();
+    TestSystem never(4, std::move(options));
+    never.kernel.memory().EnableTracing();
+    auto* space = never.kernel.CreateAddressSpace("never");
+    vm::MemoryObject* remote = never.kernel.CreateMemoryObject("remote", 1);
+    never.kernel.Map(space, remote, 0, 1, kVpn, hw::Rights::kReadWrite);
+    RecordingSink remote_sink;
+    if (attached) {
+      never.kernel.memory().SetPageEventSink(&remote_sink);
+    }
+    never.kernel.SpawnThread(space, 0, "writer", [&] { never.kernel.WriteWord(space, va, 9); });
+    never.kernel.SpawnThread(space, 3, "reader", [&] {
+      never.machine.scheduler().Sleep(2 * kMillisecond);
+      for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(never.kernel.ReadWord(space, va), 9u);
+      }
+    });
+    never.kernel.Run();
+    never.kernel.PinMemory(space, va, 2);
+    never.kernel.memory().SetPageEventSink(nullptr);
+    EXPECT_EQ(never.machine.stats().remote_maps, 1u);
+    Frees frees;
+    for (const mem::TraceEvent& e : never.kernel.memory().trace()->Snapshot()) {
+      if (e.type == mem::TraceEventType::kPageFree) {
+        frees.emplace_back(e.detail, e.reads);
+      }
+    }
+    EXPECT_EQ(frees, (Frees{{0, attached ? 3u : 0u}})) << "attached " << attached;
+    if (attached) {
+      EXPECT_EQ(remote_sink.Frees(remote->cpage(0)), frees);
+    }
+  }
 }
 
 // Times a write through a read-only translation: processor 2 reads a fresh
