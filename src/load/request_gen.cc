@@ -1,6 +1,7 @@
 #include "src/load/request_gen.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <utility>
@@ -41,15 +42,32 @@ ZipfSampler::ZipfSampler(uint32_t n, double s) {
   for (uint32_t r = 0; r < n; ++r) {
     cdf_[r] /= total;
   }
+  // A draw's top bucket_bits bits name its bucket. Bucket j's lower edge
+  // j / buckets is exact in a double and is the UnitDraw of the bucket's
+  // first draw, so every draw in the bucket has u >= edge and a rank at
+  // least the bucket's entry. At least two buckets keep the shift below 64.
+  const uint32_t buckets = std::bit_ceil(std::max(n, 2u));
+  const int bucket_bits = std::countr_zero(buckets);
+  guide_shift_ = 64 - bucket_bits;
+  guide_.resize(buckets);
+  uint32_t rank = 0;
+  for (uint32_t j = 0; j < buckets; ++j) {
+    const double edge = std::ldexp(static_cast<double>(j), -bucket_bits);
+    while (rank < n && cdf_[rank] <= edge) {
+      ++rank;
+    }
+    guide_[j] = rank;
+  }
 }
 
 uint32_t ZipfSampler::Sample(uint64_t draw) const {
-  double u = UnitDraw(draw);
-  auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) {
-    --it;
+  const double u = UnitDraw(draw);
+  const uint32_t n = static_cast<uint32_t>(cdf_.size());
+  uint32_t rank = guide_[draw >> guide_shift_];
+  while (rank < n && cdf_[rank] <= u) {
+    ++rank;
   }
-  return static_cast<uint32_t>(it - cdf_.begin());
+  return rank < n ? rank : n - 1;
 }
 
 uint32_t RequestScript::PreloadValue(uint64_t seed, uint32_t key) {

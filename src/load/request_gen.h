@@ -53,14 +53,31 @@ struct Request {
 // Inverse-CDF Zipf sampling over ranks [0, n), rank 0 hottest. Host-side
 // doubles: deterministic on one host, which is all the byte-identity checks
 // compare (run vs rerun, trie vs reference, protocol vs protocol).
+//
+// Sample is O(1) on average through a guide table: a power-of-two number of
+// buckets splits [0, 1) evenly, and a draw's top bits name its bucket. Each
+// bucket holds the first rank whose cdf exceeds the bucket's lower edge,
+// and a short forward scan from there finds the draw's rank, exactly the
+// rank a binary search over the CDF finds.
 class ZipfSampler {
  public:
   ZipfSampler() = default;
   ZipfSampler(uint32_t n, double s);
+  // The first rank whose cdf exceeds UnitDraw(draw), or the last rank when
+  // rounding leaves none that does.
   uint32_t Sample(uint64_t draw) const;
+
+  // cdf()[r] is the probability of a rank <= r.
+  const std::vector<double>& cdf() const { return cdf_; }
+  // Guide-table buckets, a power of two; bucket j covers draws whose
+  // UnitDraw lies in [j / buckets(), (j + 1) / buckets()).
+  uint32_t buckets() const { return static_cast<uint32_t>(guide_.size()); }
 
  private:
   std::vector<double> cdf_;
+  std::vector<uint32_t> guide_;
+  // Right shift from a draw to its bucket index.
+  int guide_shift_ = 0;
 };
 
 // The fixed rank -> key bijection (odd-multiplier hash on a power-of-two
