@@ -401,8 +401,9 @@ TEST_F(FrameReuseTest, PinZeroesAReusedFrame) {
 
 // The fault branches under each coherence protocol. Both protocols run one
 // fault-resolution path, so every branch but two leaves the same page state,
-// copies and write mappings under either; the last two cases pin the
-// branches where they differ (docs/PROTOCOL.md).
+// copies and write mappings under either; the last three cases pin the
+// branches where they differ (docs/PROTOCOL.md) and the pin that collapses
+// a replicated page, which freezes it only under the directory protocol.
 class FaultBranchTest : public CoherentMemoryTest,
                         public ::testing::WithParamInterface<std::string> {
  protected:
@@ -655,6 +656,49 @@ TEST_P(FaultBranchTest, MigrateTakesAwayAMappedCopy) {
     EXPECT_EQ(Events(mem::TraceEventType::kLeaseExpire), 1u);
     EXPECT_EQ(sys_.machine.stats().shootdowns, 0u);
     EXPECT_EQ(sys_.machine.stats().ipis_sent, 0u);
+  }
+}
+
+// Pinning a replicated page onto a node that already holds a copy collapses
+// it to that copy: the other copies' translations are taken away (a
+// shootdown round under the directory protocol, a wait on the live read
+// lease and a scrub under Tardis), their frames are freed, and the page is
+// present1. A placement change, so no invalidation round is recorded.
+TEST_P(FaultBranchTest, PinOntoAReplicaCollapsesToIt) {
+  uint32_t id;
+  auto arr = NewPage("p", &id);
+  At(0, 0, [&] { EXPECT_EQ(arr.Get(0), 0u); });
+  At(1, 2 * kMillisecond, [&] { EXPECT_EQ(arr.Get(0), 0u); });
+  At(2, 4 * kMillisecond, [&] {
+    EXPECT_EQ(arr.Get(0), 0u);
+    sys_.kernel.PinMemory(space_, arr.base_va(), /*node=*/1);
+  });
+  RunAndCheck();
+  EXPECT_EQ(page(id).state(), CpageState::kPresent1);
+  EXPECT_EQ(CopyModules(id), std::vector<int>{1});
+  EXPECT_EQ(page(id).write_mappings(), 0u);
+  EXPECT_EQ(page(id).frozen(), directory());
+  EXPECT_EQ(RightsOn(0, arr), hw::Rights::kNone);
+  EXPECT_EQ(RightsOn(1, arr), hw::Rights::kRead);
+  EXPECT_EQ(RightsOn(2, arr), hw::Rights::kNone);
+  EXPECT_EQ(Events(mem::TraceEventType::kPin), 1u);
+  EXPECT_EQ(page(id).stats().invalidation_rounds, 0u);
+  EXPECT_FALSE(page(id).ever_invalidated());
+  const sim::MachineStats& stats = sys_.machine.stats();
+  EXPECT_EQ(stats.replications, 2u);
+  EXPECT_EQ(stats.mappings_invalidated, 2u);
+  EXPECT_EQ(stats.pages_freed, 2u);
+  if (directory()) {
+    EXPECT_EQ(Events(mem::TraceEventType::kShootdown), 1u);
+    EXPECT_EQ(Events(mem::TraceEventType::kLeaseExpire), 0u);
+    EXPECT_EQ(stats.shootdowns, 1u);
+    EXPECT_EQ(stats.lease_waits, 0u);
+  } else {
+    EXPECT_EQ(Events(mem::TraceEventType::kShootdown), 0u);
+    EXPECT_EQ(Events(mem::TraceEventType::kLeaseExpire), 1u);
+    EXPECT_EQ(stats.shootdowns, 0u);
+    EXPECT_EQ(stats.lease_waits, 1u);
+    EXPECT_GT(stats.lease_wait_ns, 0);
   }
 }
 
