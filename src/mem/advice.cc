@@ -8,7 +8,6 @@
 // overrides the fault-time replication decision, explicit pinning of
 // write-shared data, and prefetch-style pre-replication of read-mostly data.
 #include <cstring>
-#include <vector>
 
 #include "src/base/check.h"
 #include "src/mem/coherent_memory.h"
@@ -59,7 +58,7 @@ void CoherentMemory::PinTo(uint32_t as_id, uint32_t vpn, int node) {
     // Move the data: invalidate every translation, copy to the target,
     // reclaim the old frames. This is a deliberate placement change, not
     // coherence interference, so the invalidation history is untouched.
-    protocol_->ReleaseAllMappings(page, initiator);
+    TakeAway(page, Release::kAllMappings, initiator);
     CopyInto(page, *copy);
     while (!page.copies().empty()) {
       FreeCopy(page, page.copies().front().module);
@@ -73,19 +72,7 @@ void CoherentMemory::PinTo(uint32_t as_id, uint32_t vpn, int node) {
     Trace(TraceEventType::kMigrate, page, initiator, static_cast<uint32_t>(node));
   } else if (page.copies().size() > 1) {
     // Collapse to the copy already on the target node.
-    std::vector<int> victims;
-    for (const PhysicalCopy& old : page.copies()) {
-      if (old.module != node) {
-        victims.push_back(old.module);
-      }
-    }
-    protocol_->ReleaseCopyMappings(page, victims, initiator);
-    for (int module : victims) {
-      FreeCopy(page, module);
-    }
-    if (page.write_mappings() == 0 && page.state() == CpageState::kPresentPlus) {
-      page.SetState(CpageState::kPresent1);  // protocol: collapse present+ -> present1
-    }
+    Collapse(page, node, initiator);
   }
 
   if (protocol_->UsesFreezing() && !page.frozen()) {
@@ -109,7 +96,7 @@ void CoherentMemory::ReplicateTo(uint32_t as_id, uint32_t vpn, int node) {
     return;  // the target module is full
   }
   if (page.state() == CpageState::kModified) {
-    protocol_->DowngradeToRead(page, initiator);
+    DowngradeToRead(page, initiator);
   }
   CopyInto(page, *copy);
   page.AddCopy(*copy);

@@ -21,7 +21,7 @@ CoherentMemory::CoherentMemory(sim::Machine* machine, std::unique_ptr<Replicatio
   if (protocol_ == nullptr) {
     protocol_ = std::make_unique<DirectoryProtocol>();
   }
-  protocol_->Attach(this);
+  protocol_->Attach(machine_);
   mmus_.reserve(machine_->num_nodes());
   for (int p = 0; p < machine_->num_nodes(); ++p) {
     mmus_.emplace_back(p, machine_->params().atc_entries);

@@ -109,7 +109,7 @@ void CoherentMemory::Thaw(uint32_t cpage_id) {
   // decides afresh. This is *not* a coherence invalidation: it must not
   // update the page's interference history, or frozen pages would refreeze
   // on their next fault.
-  protocol_->ReleaseAllMappings(page, initiator);
+  TakeAway(page, Release::kAllMappings, initiator);
   PLAT_CHECK_EQ(page.write_mappings(), 0u);
   if (page.state() == CpageState::kModified) {
     page.SetState(CpageState::kPresent1);  // protocol: thaw-downgrade modified -> present1

@@ -6,9 +6,10 @@
 // (replicate on a read miss, migrate on a write miss) and creating a mapping
 // to an existing remote copy — the mechanism that selectively disables
 // caching for actively write-shared pages. This resolution is written once
-// for every coherence protocol; the protocol (protocol.h) supplies only how
-// translations and copies are taken away, what a granted mapping costs, and
-// whether a remote reader may share a writer's copy.
+// for every coherence protocol, and so is taking translations and copies
+// away (shootdown.cc); the protocol (protocol.h) supplies only whether that
+// waits out leases, what a granted mapping costs, and whether a remote
+// reader may share a writer's copy.
 #include <algorithm>
 #include <cstring>
 
@@ -136,7 +137,7 @@ void CoherentMemory::ResolveReadFault(Cmap& cm, CmapEntry& entry, Cpage& page, u
       Unfreeze(page);
     }
     if (page.state() == CpageState::kModified) {
-      protocol_->DowngradeToRead(page, processor);
+      DowngradeToRead(page, processor);
     }
     CopyInto(page, *frame);
     page.AddCopy(*frame);
@@ -153,7 +154,7 @@ void CoherentMemory::ResolveReadFault(Cmap& cm, CmapEntry& entry, Cpage& page, u
   // coherence, but a protocol whose readers may not run beside a live
   // writer downgrades the writer first.
   if (page.state() == CpageState::kModified && !protocol_->RemoteReadSharesWriter()) {
-    protocol_->DowngradeToRead(page, processor);
+    DowngradeToRead(page, processor);
   }
   const PhysicalCopy& copy = page.PrimaryCopy();
   EnterMapping(cm, entry, page, vpn, processor, copy, hw::Rights::kRead);
@@ -187,7 +188,7 @@ void CoherentMemory::ResolveWriteFault(Cmap& cm, CmapEntry& entry, Cpage& page, 
       // present+ -> modified: take away every remote copy and its
       // translations (Section 3.3) — coherence interference the replication
       // policy should know about.
-      protocol_->Collapse(page, processor, processor);
+      Collapse(page, processor, processor);
       page.RecordInvalidation(sched.now());
       ++page.stats().invalidation_rounds;
     }
@@ -210,7 +211,7 @@ void CoherentMemory::ResolveWriteFault(Cmap& cm, CmapEntry& entry, Cpage& page, 
     if (page.frozen()) {
       Unfreeze(page);
     }
-    uint32_t released = protocol_->ReleaseAllMappings(page, processor);
+    uint32_t released = TakeAway(page, Release::kAllMappings, processor);
     CopyInto(page, *frame);
     while (!page.copies().empty()) {
       FreeCopy(page, page.copies().front().module);
@@ -235,7 +236,7 @@ void CoherentMemory::ResolveWriteFault(Cmap& cm, CmapEntry& entry, Cpage& page, 
   // Remote write mapping. Writes require a single physical copy, so a
   // replicated page first collapses to one.
   if (page.state() == CpageState::kPresentPlus &&
-      protocol_->Collapse(page, page.PrimaryCopy().module, processor) > 0) {
+      Collapse(page, page.PrimaryCopy().module, processor) > 0) {
     page.RecordInvalidation(sched.now());
     ++page.stats().invalidation_rounds;
   }

@@ -12,15 +12,62 @@
 // behaviour-preserving); the *cost* model follows the paper: a setup charge
 // per synchronous round plus ~7 us per interrupted processor.
 //
-// A lease protocol runs the same two walkers without a round, after its
-// lease wait: the same structural change, no messages and no IPIs, with only
-// the per-translation directory bookkeeping charged.
+// Every transition that takes translations away runs through TakeAway, for
+// either protocol. The protocol's one answer (AwaitRelease) picks the round
+// or a lease protocol's alternative: the same two walkers without a round,
+// after the protocol has waited out the victims' leases — the same
+// structural change, no messages and no IPIs, with only the per-translation
+// directory bookkeeping charged.
 #include <bit>
+#include <vector>
 
 #include "src/base/check.h"
 #include "src/mem/coherent_memory.h"
+#include "src/mem/protocol.h"
 
 namespace platinum::mem {
+
+uint32_t CoherentMemory::TakeAway(Cpage& page, Release release, int initiator,
+                                  const std::vector<int>& modules) {
+  ShootdownRound round;
+  ShootdownRound* shootdown = protocol_->AwaitRelease(page, release) ? nullptr : &round;
+  uint32_t taken = 0;
+  if (release == Release::kWriteRights) {
+    taken = RestrictCpageToRead(page, initiator, shootdown);
+  } else if (release == Release::kAllMappings) {
+    taken = InvalidateMappingsToCopy(page, /*module=*/-1, initiator, shootdown);
+  } else {
+    for (int module : modules) {
+      taken += InvalidateMappingsToCopy(page, module, initiator, shootdown);
+    }
+  }
+  if (shootdown != nullptr) {
+    CommitShootdown(page, round, initiator);
+  } else if (taken > 0) {
+    Trace(TraceEventType::kLeaseExpire, page, initiator, taken);
+  }
+  return taken;
+}
+
+void CoherentMemory::DowngradeToRead(Cpage& page, int initiator) {
+  TakeAway(page, Release::kWriteRights, initiator);
+  page.SetState(CpageState::kPresent1);  // protocol: restrict modified -> present1
+}
+
+uint32_t CoherentMemory::Collapse(Cpage& page, int keep_module, int initiator) {
+  std::vector<int> victims;
+  for (const PhysicalCopy& copy : page.copies()) {
+    if (copy.module != keep_module) {
+      victims.push_back(copy.module);
+    }
+  }
+  uint32_t taken = TakeAway(page, Release::kCopyMappings, initiator, victims);
+  for (int module : victims) {
+    FreeCopy(page, module);
+  }
+  page.SetState(CpageState::kPresent1);  // protocol: collapse present+ -> present1
+  return taken;
+}
 
 uint32_t CoherentMemory::RestrictCpageToRead(Cpage& page, int initiator,
                                              ShootdownRound* round) {

@@ -1,20 +1,21 @@
 // Timestamp/lease coherence (PAPERS.md: Tardis), adapted to PLATINUM's
 // physical-copy model.
 //
-// The fault handler (fault_handler.cc) resolves faults exactly as under the
-// directory protocol; what differs is how translations are taken away. The
-// directory protocol uses shootdown rounds: Cmap messages plus synchronous
-// IPIs. Tardis instead charges *leases* in simulated time. Every mapping the
-// fault handler grants extends the page's aggregate read lease or stamps a
-// write lease (Granted), and a transition that must destroy copies or
-// downgrade the writer first waits (AdvanceTo on the faulting fiber) until
-// the victims' leases have expired, then reclaims the translations
+// The fault handler (fault_handler.cc) resolves faults, and shootdown.cc
+// takes translations away, exactly as under the directory protocol; what
+// differs is when. The directory protocol interrupts the holders with a
+// shootdown round: Cmap messages plus synchronous IPIs. Tardis instead
+// charges *leases* in simulated time. Every mapping the fault handler grants
+// extends the page's aggregate read lease or stamps a write lease (Granted),
+// and before a transition destroys copies or downgrades the writer,
+// AwaitRelease waits (AdvanceTo on the faulting fiber) until the victims'
+// leases have expired, so the shared engine then scrubs the translations
 // host-side — no messages, no interrupts, no interrupted-processor cost. The
 // wait is the protocol's entire communication cost, which is what the
 // abl_protocol ablation measures against the directory's IPI bill.
 //
 // Strict single-writer/multiple-reader over physical copies is preserved
-// exactly as in the directory protocol (the scrubs produce the same
+// exactly as in the directory protocol (a scrub produces the same
 // structural end state a shootdown round would), so final memory contents
 // are identical under either protocol; only timing and the event mix
 // differ. Two deliberate simplifications, both conservative:
@@ -22,7 +23,7 @@
 //   * the read lease is an aggregate max over all copies, so a collapse
 //     waits for the newest lease anywhere rather than per-victim leases;
 //   * a read fault on a modified page with no local copy always downgrades
-//     the writer (lease-restrict) before mapping — a Tardis read must not
+//     the writer (restrict) before mapping — a Tardis read must not
 //     observe a page with a live write lease (RemoteReadSharesWriter() ==
 //     false). This adds the (read, modified -> present1) spec row the
 //     directory protocol lacks.
@@ -32,11 +33,10 @@
 // trigger has no rows in protocol_spec_tardis.json).
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "src/base/check.h"
-#include "src/mem/coherent_memory.h"
 #include "src/mem/protocol.h"
+#include "src/sim/machine.h"
 
 namespace platinum::mem {
 
@@ -68,22 +68,9 @@ TardisProtocol::PageLease& TardisProtocol::lease(uint32_t cpage_id) {
   return leases_[cpage_id];
 }
 
-void TardisProtocol::WaitForLeaseExpiry(sim::SimTime until) {
-  sim::Scheduler& sched = memory_->machine_->scheduler();
-  sim::SimTime now = sched.now();
-  if (until <= now) {
-    return;
-  }
-  sched.AdvanceTo(until);
-  sim::MachineStats& counters = memory_->machine_->stats(sched.current_processor_or(-1));
-  ++counters.lease_waits;
-  counters.lease_wait_ns += until - now;
-}
-
-void TardisProtocol::Granted(Cpage& page, bool write) {
+void TardisProtocol::Granted(const Cpage& page, bool write) {
   PageLease& l = lease(page.id());
-  sim::SimTime until =
-      memory_->machine_->scheduler().now() + lease_policy_->NextLease(page.id(), write);
+  sim::SimTime until = machine_->scheduler().now() + lease_policy_->NextLease(page.id(), write);
   if (write) {
     l.write_until = until;
   } else {
@@ -91,53 +78,21 @@ void TardisProtocol::Granted(Cpage& page, bool write) {
   }
 }
 
-void TardisProtocol::DowngradeToRead(Cpage& page, int initiator) {
-  WaitForLeaseExpiry(lease(page.id()).write_until);
-  uint32_t scrubbed = memory_->RestrictCpageToRead(page, initiator, /*round=*/nullptr);
-  if (scrubbed > 0) {
-    memory_->Trace(TraceEventType::kLeaseExpire, page, initiator, scrubbed);
-  }
-  page.SetState(CpageState::kPresent1);  // protocol: lease-restrict modified -> present1
-}
-
-uint32_t TardisProtocol::ReleaseAllMappings(Cpage& page, int initiator) {
-  const PageLease& l = lease(page.id());
-  WaitForLeaseExpiry(std::max(l.read_until, l.write_until));
-  uint32_t scrubbed =
-      memory_->InvalidateMappingsToCopy(page, /*module=*/-1, initiator, /*round=*/nullptr);
-  if (scrubbed > 0) {
-    memory_->Trace(TraceEventType::kLeaseExpire, page, initiator, scrubbed);
-  }
-  return scrubbed;
-}
-
-uint32_t TardisProtocol::ReleaseCopyMappings(Cpage& page, const std::vector<int>& modules,
-                                             int initiator) {
+bool TardisProtocol::AwaitRelease(const Cpage& page, Release release) {
   // Victim copies of a collapse are read copies: the read lease bounds them.
-  WaitForLeaseExpiry(lease(page.id()).read_until);
-  uint32_t scrubbed = 0;
-  for (int module : modules) {
-    scrubbed += memory_->InvalidateMappingsToCopy(page, module, initiator, /*round=*/nullptr);
+  const PageLease& l = lease(page.id());
+  sim::SimTime until = release == Release::kWriteRights    ? l.write_until
+                       : release == Release::kCopyMappings ? l.read_until
+                                                           : std::max(l.read_until, l.write_until);
+  sim::Scheduler& sched = machine_->scheduler();
+  sim::SimTime now = sched.now();
+  if (until > now) {
+    sched.AdvanceTo(until);
+    sim::MachineStats& counters = machine_->stats(sched.current_processor_or(-1));
+    ++counters.lease_waits;
+    counters.lease_wait_ns += until - now;
   }
-  if (scrubbed > 0) {
-    memory_->Trace(TraceEventType::kLeaseExpire, page, initiator, scrubbed);
-  }
-  return scrubbed;
-}
-
-uint32_t TardisProtocol::Collapse(Cpage& page, int keep_module, int initiator) {
-  std::vector<int> victims;
-  for (const PhysicalCopy& copy : page.copies()) {
-    if (copy.module != keep_module) {
-      victims.push_back(copy.module);
-    }
-  }
-  uint32_t scrubbed = ReleaseCopyMappings(page, victims, initiator);
-  for (int module : victims) {
-    memory_->FreeCopy(page, module);
-  }
-  page.SetState(CpageState::kPresent1);  // protocol: lease-collapse present+ -> present1
-  return scrubbed;
+  return true;
 }
 
 }  // namespace platinum::mem
