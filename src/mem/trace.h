@@ -60,9 +60,10 @@ struct TraceEvent {
 // The ring holds many of these; `reads` fills what was tail padding.
 static_assert(sizeof(TraceEvent) == 32);
 
-// Fixed-capacity ring buffer; old events are dropped, never reallocated. A
-// capacity of 0 is a valid "count only" log: every event is recorded into
-// recorded()/dropped() but none is retained.
+// Fixed-capacity ring buffer; old events are dropped, never reallocated. The
+// buffer is reserved up front and filled as events arrive, so an unused ring
+// costs no page writes. A capacity of 0 is a valid "count only" log: every
+// event is recorded into recorded()/dropped() but none is retained.
 class TraceLog {
  public:
   explicit TraceLog(size_t capacity);
@@ -71,7 +72,7 @@ class TraceLog {
   void Record(sim::SimTime time, TraceEventType type, uint32_t cpage, int processor,
               uint32_t detail, uint32_t thread = 0);
 
-  size_t capacity() const { return buffer_.size(); }
+  size_t capacity() const { return capacity_; }
   // Events currently retained, oldest first.
   std::vector<TraceEvent> Snapshot() const;
   uint64_t recorded() const { return recorded_; }
@@ -82,6 +83,8 @@ class TraceLog {
   std::string ToString(size_t last = 32) const;
 
  private:
+  size_t capacity_;
+  // Grows to capacity_, then wraps: event n sits at n % capacity_.
   std::vector<TraceEvent> buffer_;
   uint64_t recorded_ = 0;
 };

@@ -155,6 +155,37 @@ TEST(TraceLogTest, WraparoundKeepsNewestOldestFirst) {
   }
 }
 
+TEST(TraceLogTest, CapacityIsExactBeforeTheFirstEvent) {
+  mem::TraceLog log(5);
+  EXPECT_EQ(log.capacity(), 5u);
+  EXPECT_EQ(log.recorded(), 0u);
+  EXPECT_EQ(log.dropped(), 0u);
+  EXPECT_TRUE(log.Snapshot().empty());
+}
+
+TEST(TraceLogTest, AFullRingDropsNothingUntilTheNextEvent) {
+  mem::TraceLog log(4);
+  for (sim::SimTime t = 0; t < 4; ++t) {
+    log.Record(EventAt(t));
+  }
+  EXPECT_EQ(log.capacity(), 4u);
+  EXPECT_EQ(log.dropped(), 0u);
+  std::vector<mem::TraceEvent> events = log.Snapshot();
+  ASSERT_EQ(events.size(), 4u);
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].time, i);
+  }
+  log.Record(EventAt(4));
+  EXPECT_EQ(log.capacity(), 4u);
+  EXPECT_EQ(log.recorded(), 5u);
+  EXPECT_EQ(log.dropped(), 1u);
+  events = log.Snapshot();
+  ASSERT_EQ(events.size(), 4u);
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].time, 1 + i);
+  }
+}
+
 TEST(TraceLogTest, CapacityZeroCountsButRetainsNothing) {
   mem::TraceLog log(0);
   for (sim::SimTime t = 0; t < 3; ++t) {
