@@ -105,8 +105,6 @@ class SharedTrie {
   uint32_t leaf_base_va() const { return leaf_.base_va(); }
   uint32_t leaf_words() const { return static_cast<uint32_t>(leaf_.size()); }
   vm::AddressSpace* space() const { return interior_.space(); }
-  uint32_t interior_slots() const { return interior_slots_; }
-  uint32_t leaf_slots() const { return leaf_slots_; }
   // VAs of the trie's internal synchronization words (slice locks, allocator
   // lock, allocator state) — these live on dedicated pages that legitimately
   // ping-pong, and page-forensics tests must attribute them as such.

@@ -22,18 +22,6 @@ inline bool Allows(Rights have, Rights need) {
          static_cast<uint8_t>(need);
 }
 
-inline const char* RightsName(Rights r) {
-  switch (r) {
-    case Rights::kNone:
-      return "none";
-    case Rights::kRead:
-      return "read";
-    case Rights::kReadWrite:
-      return "read-write";
-  }
-  return "?";
-}
-
 }  // namespace platinum::hw
 
 #endif  // SRC_HW_RIGHTS_H_

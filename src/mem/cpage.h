@@ -82,7 +82,6 @@ class Cpage {
   int16_t home_module() const { return home_module_; }
 
   CpageState state() const { return state_; }
-  uint64_t module_mask() const { return module_mask_; }
   const std::vector<PhysicalCopy>& copies() const { return copies_; }
   bool HasCopyOn(int module) const { return (module_mask_ >> module) & 1; }
   std::optional<PhysicalCopy> FindCopy(int module) const;
