@@ -293,7 +293,7 @@ TEST(ProtocolSpecOracleTest, TardisHostTriggersStayWithinSpec) {
   // pin: present+ -> present1 collapses the replicas again.
   sys.kernel.PinMemory(space, 1 * page_size, /*node=*/3);
 
-  // replicate-to: modified -> present+ (lease-restrict then replicate),
+  // replicate-to: modified -> present+ (restrict then replicate),
   // then a write takes it back and pin: modified -> present1.
   RunInThread(sys.kernel, space, 0, [&] { sys.kernel.WriteWord(space, 2 * page_size, 7); });
   sys.kernel.ReplicateMemory(space, 2 * page_size, /*node=*/2);
@@ -337,7 +337,7 @@ TEST(ProtocolSpecOracleDeathTest, SmuggledMutationAbortsAtNextTransition) {
 }
 
 // The oracle enforces the ACTIVE spec, not the union of all specs: a
-// (read, modified -> present1) edge is a legal lease-restrict under tardis,
+// (read, modified -> present1) edge is a legal restrict under tardis,
 // but smuggled into a directory-protocol kernel it must still die. The
 // smuggled downgrade is planted on page 0; the read that trips the shadow
 // diff runs on page 1, so the trigger seen for page 0's edge is 'read'.

@@ -400,9 +400,10 @@ class ProtocolConformanceRule(Rule):
         `// protocol: <event> <from>[|<from>] -> <to>` annotation whose rows
         all exist in the micro-transition table of some spec claiming the
         file (via its `mutation_files`), and whose to-state matches the
-        literal the code sets — a shared file like advice.cc is validated
-        against the union of the specs that claim it, a protocol-private
-        file like tardis_protocol.cc only against its own spec;
+        literal the code sets — a file is validated against the union of
+        the specs that claim it (today both specs claim the same shared
+        files in src/mem), a file only one spec claims only against that
+        spec;
       * every micro row of every spec must be claimed by some annotated site
         in a file that spec sanctions (a row no site implements is stale
         spec, per protocol);
