@@ -56,14 +56,11 @@ GaussResult RunGaussPlatinum(kernel::Kernel& kernel, const GaussConfig& config) 
   rt::RunOnProcessors(kernel, space, p, "gauss", [&](int pid) {
     sim::Scheduler& sched = kernel.machine().scheduler();
     // Startup: each thread initializes its own rows, placing their pages on
-    // its node by first touch. Rows are written with the block-access API —
-    // one page fault, then fast-path stores.
-    std::vector<int32_t> row(static_cast<size_t>(n));
+    // its node by first touch — one page fault, then ATC-hit stores.
     for (int j = pid; j < n; j += p) {
       for (int k = 0; k < n; ++k) {
-        row[static_cast<size_t>(k)] = GaussInitialValue(config.seed, n, j, k);
+        matrix.Set(j, k, GaussInitialValue(config.seed, n, j, k));
       }
-      matrix.Row(j).SetRange(0, static_cast<size_t>(n), row.data());
     }
     if (config.colocate_size_and_flag && pid == 0) {
       control.Set(0, static_cast<uint32_t>(n));
@@ -132,11 +129,9 @@ GaussResult RunGaussPlatinum(kernel::Kernel& kernel, const GaussConfig& config) 
     obs::PhaseMarker verify_phase(kernel.machine(), "gauss-verify");
     Checksum sum;
     kernel.SpawnThread(space, 0, "gauss-check", [&] {
-      std::vector<int32_t> row(static_cast<size_t>(n));
       for (int i = 0; i < n; ++i) {
-        matrix.Row(i).GetRange(0, static_cast<size_t>(n), row.data());
         for (int j = 0; j < n; ++j) {
-          sum.Add(static_cast<uint32_t>(row[static_cast<size_t>(j)]));
+          sum.Add(static_cast<uint32_t>(matrix.Get(i, j)));
         }
       }
     });

@@ -88,28 +88,13 @@ SortResult VerifySorted(const SortConfig& config, Array& final_array,
   bool sorted = true;
   run_in_thread([&] {
     uint32_t previous = 0;
-    // A linear read-only pass: fetched in blocks where the array supports
-    // it, word-at-a-time otherwise, with the same simulated access stream.
-    uint32_t buf[kSortBatchWords];
-    size_t done = 0;
-    while (done < config.count) {
-      size_t batch = std::min(config.count - done, kSortBatchWords);
-      if constexpr (kArrayHasRanges<Array>) {
-        final_array.GetRange(done, batch, buf);
-      } else {
-        for (size_t k = 0; k < batch; ++k) {
-          buf[k] = final_array.Get(done + k);
-        }
+    for (size_t i = 0; i < config.count; ++i) {
+      uint32_t value = final_array.Get(i);
+      if (i > 0 && value < previous) {
+        sorted = false;
       }
-      for (size_t k = 0; k < batch; ++k) {
-        uint32_t value = buf[k];
-        if ((done + k) > 0 && value < previous) {
-          sorted = false;
-        }
-        previous = value;
-        sum.Add(value);
-      }
-      done += batch;
+      previous = value;
+      sum.Add(value);
     }
   });
   result.checksum = sum.value();

@@ -56,10 +56,6 @@ PatternResult RunPattern(kernel::Kernel& kernel, const PatternConfig& config) {
   const sim::MachineStats before = machine.stats();
   sim::SimTime t_start = 0;
 
-  // Every access below is deliberately word-at-a-time: the pattern driver
-  // exists to emit individual coherence-relevant references (random indexes,
-  // read-modify-writes, one-touch-per-page strides), none of which form the
-  // contiguous linear passes the block accessors (GetRange/SetRange) batch.
   rt::RunOnProcessors(kernel, space, p, "pattern", [&](int pid) {
     auto& shared = regions[config.pattern == AccessPattern::kPrivate
                                ? static_cast<size_t>(pid)

@@ -144,31 +144,6 @@ void Kernel::MigrateCurrentThread(Thread* thread, int new_processor) {
   memory_->Activate(thread->address_space().id(), new_processor);
 }
 
-void Kernel::ReadWords(vm::AddressSpace* space, uint32_t va, uint32_t count, uint32_t* out) {
-  if (count == 0) {
-    return;
-  }
-  VaParts parts = Split(va);
-  mem::AccessOutcome outcome =
-      memory_->ReadRange(space->id(), parts.vpn, parts.word_offset, count, out);
-  PLAT_CHECK(outcome == mem::AccessOutcome::kOk)
-      << "read fault in range [" << va << ", " << va + count * 4 << ") in space '"
-      << space->name() << "'";
-}
-
-void Kernel::WriteWords(vm::AddressSpace* space, uint32_t va, uint32_t count,
-                        const uint32_t* values) {
-  if (count == 0) {
-    return;
-  }
-  VaParts parts = Split(va);
-  mem::AccessOutcome outcome =
-      memory_->WriteRange(space->id(), parts.vpn, parts.word_offset, count, values);
-  PLAT_CHECK(outcome == mem::AccessOutcome::kOk)
-      << "write fault in range [" << va << ", " << va + count * 4 << ") in space '"
-      << space->name() << "'";
-}
-
 template <typename Update>
 uint32_t Kernel::AtomicReadModifyWrite(vm::AddressSpace* space, uint32_t va, Update update) {
   VaParts parts = Split(va);

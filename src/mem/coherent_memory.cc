@@ -162,82 +162,34 @@ void CoherentMemory::NotifyAccessObserver(uint32_t as_id, uint32_t vpn, uint32_t
 
 AccessOutcome CoherentMemory::ReadRange(uint32_t as_id, uint32_t vpn, uint32_t word_offset,
                                         uint32_t count, uint32_t* out, bool allow_yield) {
-  return AccessRange(as_id, vpn, word_offset, count, sim::AccessKind::kRead, out, nullptr,
-                     allow_yield);
+  const uint32_t wpp = machine_->params().words_per_page();
+  PLAT_CHECK_LT(word_offset, wpp);
+  for (uint32_t i = 0; i < count; ++i) {
+    AccessResult r = Access(as_id, vpn, word_offset, sim::AccessKind::kRead, 0, allow_yield);
+    if (r.outcome != AccessOutcome::kOk) {
+      return r.outcome;
+    }
+    out[i] = r.value;
+    if (++word_offset == wpp) {
+      word_offset = 0;
+      ++vpn;
+    }
+  }
+  return AccessOutcome::kOk;
 }
 
 AccessOutcome CoherentMemory::WriteRange(uint32_t as_id, uint32_t vpn, uint32_t word_offset,
                                          uint32_t count, const uint32_t* values,
                                          bool allow_yield) {
-  return AccessRange(as_id, vpn, word_offset, count, sim::AccessKind::kWrite, nullptr, values,
-                     allow_yield);
-}
-
-AccessOutcome CoherentMemory::AccessRange(uint32_t as_id, uint32_t vpn, uint32_t word_offset,
-                                          uint32_t count, sim::AccessKind kind,
-                                          uint32_t* read_out, const uint32_t* write_in,
-                                          bool allow_yield) {
   const uint32_t wpp = machine_->params().words_per_page();
   PLAT_CHECK_LT(word_offset, wpp);
-  sim::Scheduler& sched = machine_->scheduler();
-  hw::Rights needed =
-      kind == sim::AccessKind::kWrite ? hw::Rights::kReadWrite : hw::Rights::kRead;
-
-  uint32_t done = 0;
-  while (done < count) {
-    int processor = sched.current_processor();
-    hw::Atc& atc = mmus_[processor].atc();
-    const hw::PmapEntry* translation = atc.Lookup(as_id, vpn);
-    if (translation == nullptr || !Allows(translation->rights, needed)) [[unlikely]] {
-      // An ATC miss: push exactly this word through Access, which refills
-      // from the Pmap or takes the fault, then resume the block loop with a
-      // fresh translation.
-      AccessResult r = Access(as_id, vpn, word_offset, kind,
-                              write_in != nullptr ? write_in[done] : 0, allow_yield);
-      if (r.outcome != AccessOutcome::kOk) {
-        return r.outcome;
-      }
-      if (read_out != nullptr) {
-        read_out[done] = r.value;
-      }
-      ++done;
-      if (++word_offset == wpp) {
-        word_offset = 0;
-        ++vpn;
-      }
-      continue;
+  for (uint32_t i = 0; i < count; ++i) {
+    AccessResult r =
+        Access(as_id, vpn, word_offset, sim::AccessKind::kWrite, values[i], allow_yield);
+    if (r.outcome != AccessOutcome::kOk) {
+      return r.outcome;
     }
-    // Fast run: consume words of this page while the cached translation is
-    // known valid. Translations only change at switch points, so the run ends
-    // (and the translation is re-probed) whenever MaybeYield switches — and
-    // MigrateCurrent can even move the fiber to another processor meanwhile.
-    // Each iteration performs the exact per-word sequence of Access's fast
-    // path, so stats, trace and virtual time match a word-by-word loop.
-    const uint32_t module = translation->module;
-    const uint32_t frame = translation->frame;
-    const uint32_t run_end = std::min(count, done + (wpp - word_offset));
-    bool switched = false;
-    while (done < run_end && !switched) {
-      ++machine_->stats(processor).atc_hits;
-      if (access_observer_ != nullptr) [[unlikely]] {
-        NotifyAccessObserver(as_id, vpn, word_offset, kind, processor);
-      }
-      if (page_sink_ != nullptr) [[unlikely]] {
-        CountForSink(kind, module, frame);
-      }
-      machine_->Reference(processor, module, kind);
-      if (kind == sim::AccessKind::kRead) {
-        read_out[done] = machine_->ReadWordRaw(module, frame, word_offset);
-      } else {
-        machine_->WriteWordRaw(module, frame, word_offset, write_in[done]);
-      }
-      ++done;
-      ++word_offset;
-      if (allow_yield) {
-        switched = sched.MaybeYield();
-      }
-    }
-    if (word_offset == wpp) {
+    if (++word_offset == wpp) {
       word_offset = 0;
       ++vpn;
     }

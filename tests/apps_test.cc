@@ -12,8 +12,6 @@
 #include "src/apps/neural.h"
 #include "src/apps/workloads.h"
 #include "src/kernel/report.h"
-#include "src/runtime/shared_array.h"
-#include "src/runtime/zone_allocator.h"
 #include "tests/test_util.h"
 
 namespace platinum {
@@ -172,84 +170,6 @@ TEST_P(MergeSortUmaTest, SortsCorrectly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Processors, MergeSortUmaTest, ::testing::Values(1, 2, 4, 8));
-
-// Strips the block accessors from rt::SharedArray so the generic sort core
-// falls back to its word-at-a-time loops — the reference implementation the
-// batched path must be indistinguishable from.
-struct WordOnlyArray {
-  rt::SharedArray<uint32_t>* inner;
-  uint32_t Get(size_t i) const { return inner->Get(i); }
-  void Set(size_t i, uint32_t v) { inner->Set(i, v); }
-};
-
-// The batched merge (GetRange/SetRange tails) and the word-at-a-time merge
-// must be byte-identical in result AND in simulated time: the kernel's
-// block transfer is contractually the same access stream as the word loop,
-// so swapping one in may change host speed only, never the simulation.
-TEST(MergeSortBatchingTest, BlockAndWordLinearPassesAreIdentical) {
-  static_assert(apps::kArrayHasRanges<rt::SharedArray<uint32_t>>);
-  static_assert(!apps::kArrayHasRanges<WordOnlyArray>);
-  // Sized so generation spans several staging chunks (1100 > 4 * 256) and
-  // ends on a partial one.
-  constexpr size_t kCount = 1100;
-  constexpr uint64_t kSeed = 7;
-
-  uint64_t checksum_block = 0;
-  uint64_t checksum_word = 0;
-  sim::SimTime gen_ns_block = 0;
-  sim::SimTime gen_ns_word = 0;
-  sim::SimTime scan_ns_block = 0;
-  sim::SimTime scan_ns_word = 0;
-  for (bool word_only : {false, true}) {
-    TestSystem sys(sim::ButterflyPlusParams(4));
-    auto* space = sys.kernel.CreateAddressSpace("gen-eq");
-    rt::ZoneAllocator zone(&sys.kernel, space);
-    auto data = rt::SharedArray<uint32_t>::Create(zone, "data", kCount);
-    test::RunInThread(sys.kernel, space, 0, [&] {
-      // The generation pass of SortWorkerBody: block SetRange vs word Set
-      // must produce the same bytes in the same simulated time.
-      sim::SimTime t0 = sys.kernel.Now();
-      if (word_only) {
-        WordOnlyArray wdata{&data};
-        apps::GenerateRun(wdata, 0, kCount, kSeed);
-        gen_ns_word = sys.kernel.Now() - t0;
-      } else {
-        apps::GenerateRun(data, 0, kCount, kSeed);
-        gen_ns_block = sys.kernel.Now() - t0;
-      }
-      // The verification pass: a linear read scan, block GetRange vs word
-      // Get, accumulated into the workload checksum.
-      apps::Checksum sum;
-      sim::SimTime t1 = sys.kernel.Now();
-      uint32_t buf[apps::kSortBatchWords];
-      size_t done = 0;
-      while (done < kCount) {
-        size_t batch = std::min(kCount - done, apps::kSortBatchWords);
-        if (word_only) {
-          for (size_t k = 0; k < batch; ++k) {
-            buf[k] = data.Get(done + k);
-          }
-        } else {
-          data.GetRange(done, batch, buf);
-        }
-        for (size_t k = 0; k < batch; ++k) {
-          sum.Add(buf[k]);
-        }
-        done += batch;
-      }
-      if (word_only) {
-        scan_ns_word = sys.kernel.Now() - t1;
-        checksum_word = sum.value();
-      } else {
-        scan_ns_block = sys.kernel.Now() - t1;
-        checksum_block = sum.value();
-      }
-    });
-  }
-  EXPECT_EQ(checksum_block, checksum_word) << "batched generation changed the bytes";
-  EXPECT_EQ(gen_ns_block, gen_ns_word) << "batched generation changed simulated time";
-  EXPECT_EQ(scan_ns_block, scan_ns_word) << "batched scan changed simulated time";
-}
 
 TEST(MergeSortBehaviorTest, PlatinumParallelismHelps) {
   TestSystem sys1(sim::ButterflyPlusParams(8));
