@@ -24,12 +24,6 @@ class Port {
  public:
   uint32_t id() const { return id_; }
   const std::string& name() const { return name_; }
-  size_t queued() const {
-    queue_lock_.Acquire();
-    size_t n = queue_.size();
-    queue_lock_.Release();
-    return n;
-  }
 
  private:
   friend class Kernel;

@@ -97,7 +97,6 @@ class PageTrace : public mem::PageEventSink {
   void OnPageEvent(const mem::TraceEvent& event) override;
 
   // --- Introspection -----------------------------------------------------------
-  const PageTraceOptions& options() const { return options_; }
   uint64_t events_seen() const { return ring_.recorded(); }
   // Word accesses performed while attached, as the producer counted them.
   uint64_t accesses_seen() const { return accesses(); }

@@ -36,7 +36,6 @@ class AddressSpace {
   // Capacity of the space in virtual pages.
   uint32_t num_pages() const { return num_pages_; }
 
-  const std::vector<Binding>& bindings() const { return bindings_; }
   void AddBinding(const Binding& binding);
   // Removes the binding that starts at `vpn` and spans exactly `num_pages`;
   // aborts if there is none.
