@@ -5,8 +5,6 @@
 #ifndef BENCH_TRIE_BENCH_H_
 #define BENCH_TRIE_BENCH_H_
 
-#include <memory>
-#include <string>
 #include <utility>
 
 #include "bench/bench_util.h"
@@ -25,23 +23,6 @@ struct TrieCell {
   int procs = 16;
 };
 
-inline std::unique_ptr<mem::ReplicationPolicy> MakeTriePolicy(const std::string& name) {
-  if (name == "timestamp") {
-    return std::make_unique<mem::TimestampPolicy>(10 * sim::kMillisecond);
-  }
-  if (name == "always") {
-    return std::make_unique<mem::AlwaysCachePolicy>();
-  }
-  if (name == "never") {
-    return std::make_unique<mem::NeverCachePolicy>();
-  }
-  if (name == "migrate-then-freeze") {
-    return std::make_unique<mem::MigrateThenFreezePolicy>(3);
-  }
-  std::fprintf(stderr, "unknown policy '%s'\n", name.c_str());
-  std::abort();
-}
-
 // The workload every cell runs: sized by the PLATINUM_TRIE_* knobs, fixed
 // total request volume (so more nodes serving the same traffic is the
 // Figure-1 speedup question), contents verified against the reference
@@ -50,7 +31,7 @@ inline sim::SimTime RunTrieCell(const TrieCell& cell) {
   sim::Machine machine(sim::ButterflyPlusParams(cell.procs));
   kernel::KernelOptions options;
   options.protocol = cell.protocol;
-  options.policy = MakeTriePolicy(cell.policy);
+  options.policy = mem::MakePolicy(cell.policy, machine.params().t1_freeze_window_ns);
   options.tardis_lease_ns = cell.lease_ns;
   options.tardis_lease_policy = cell.lease_policy;
   kernel::Kernel kernel(&machine, std::move(options));

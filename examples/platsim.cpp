@@ -212,27 +212,6 @@ Options Parse(int argc, char** argv) {
   return options;
 }
 
-std::unique_ptr<mem::ReplicationPolicy> MakePolicy(const Options& options) {
-  sim::SimTime t1 = static_cast<sim::SimTime>(options.t1_ms) * sim::kMillisecond;
-  if (options.policy == "timestamp") {
-    return std::make_unique<mem::TimestampPolicy>(t1);
-  }
-  if (options.policy == "timestamp-thaw") {
-    return std::make_unique<mem::TimestampPolicy>(t1, true);
-  }
-  if (options.policy == "always") {
-    return std::make_unique<mem::AlwaysCachePolicy>();
-  }
-  if (options.policy == "never") {
-    return std::make_unique<mem::NeverCachePolicy>();
-  }
-  if (options.policy == "migrate-then-freeze") {
-    return std::make_unique<mem::MigrateThenFreezePolicy>(3);
-  }
-  std::fprintf(stderr, "unknown policy '%s'\n", options.policy.c_str());
-  std::exit(1);
-}
-
 apps::AccessPattern ParsePattern(const std::string& kind) {
   if (kind == "private") return apps::AccessPattern::kPrivate;
   if (kind == "read-shared") return apps::AccessPattern::kReadShared;
@@ -276,7 +255,8 @@ int main(int argc, char** argv) {
   sim::Machine machine(params);
 
   kernel::KernelOptions kernel_options;
-  kernel_options.policy = MakePolicy(options);
+  kernel_options.policy = mem::MakePolicy(
+      options.policy, static_cast<sim::SimTime>(options.t1_ms) * sim::kMillisecond);
   kernel_options.start_defrost_daemon = options.defrost;
   mem::ProtocolKind kind;
   if (!mem::ProtocolKindFromName(options.protocol.c_str(), &kind)) {

@@ -34,19 +34,6 @@ struct System {
   std::unique_ptr<InvariantOracle> oracle;
 };
 
-std::unique_ptr<mem::ReplicationPolicy> MakePolicy(const ExplorerConfig& config,
-                                                   sim::SimTime t1) {
-  if (config.policy == "always") {
-    return std::make_unique<mem::AlwaysCachePolicy>();
-  }
-  if (config.policy == "never") {
-    return std::make_unique<mem::NeverCachePolicy>();
-  }
-  PLAT_CHECK(config.policy == "timestamp")
-      << "unknown explorer policy '" << config.policy << "'";
-  return std::make_unique<mem::TimestampPolicy>(t1);
-}
-
 System Boot(const ExplorerConfig& config) {
   System sys;
   sim::MachineParams params = sim::ButterflyPlusParams(config.processors);
@@ -54,7 +41,7 @@ System Boot(const ExplorerConfig& config) {
   sys.machine = std::make_unique<sim::Machine>(params);
 
   kernel::KernelOptions options;
-  options.policy = MakePolicy(config, params.t1_freeze_window_ns);
+  options.policy = mem::MakePolicy(config.policy, params.t1_freeze_window_ns);
   options.protocol = config.protocol;
   options.start_defrost_daemon = false;  // thaws are explicit alphabet events
   options.address_space_pages = 64;      // keeps each invariant sweep cheap

@@ -32,8 +32,8 @@ struct ExplorerConfig {
   // Maximum events per interleaving; the search is exhaustive iff no state
   // was left unexpanded at this depth.
   int max_depth = 32;
-  // Replication policy driving the cache/don't-cache decision:
-  // "timestamp" (freezes declined pages), "always", or "never".
+  // Replication policy driving the cache/don't-cache decision, by its
+  // mem::MakePolicy name ("timestamp" freezes declined pages).
   std::string policy = "timestamp";
   // Coherence protocol the explored kernel is booted with ("directory" or
   // "tardis"). Observed edges are checked against this protocol's spec.

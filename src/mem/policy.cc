@@ -1,5 +1,7 @@
 #include "src/mem/policy.h"
 
+#include "src/base/check.h"
+
 namespace platinum::mem {
 
 bool TimestampPolicy::ShouldCache(const Cpage& page, const FaultInfo& fault, sim::SimTime now) {
@@ -28,6 +30,27 @@ bool MigrateThenFreezePolicy::ShouldCache(const Cpage& page, const FaultInfo& fa
     return true;
   }
   return page.stats().migrations + page.stats().replications < max_migrations_;
+}
+
+std::unique_ptr<ReplicationPolicy> MakePolicy(const std::string& name, sim::SimTime t1) {
+  if (name == "timestamp") {
+    return std::make_unique<TimestampPolicy>(t1);
+  }
+  if (name == "timestamp-thaw") {
+    return std::make_unique<TimestampPolicy>(t1, /*thaw_on_access=*/true);
+  }
+  if (name == "always") {
+    return std::make_unique<AlwaysCachePolicy>();
+  }
+  if (name == "never") {
+    return std::make_unique<NeverCachePolicy>();
+  }
+  if (name == "migrate-then-freeze") {
+    return std::make_unique<MigrateThenFreezePolicy>(3);
+  }
+  PLAT_CHECK(false) << "unknown replication policy '" << name
+                    << "' (want timestamp|timestamp-thaw|always|never|migrate-then-freeze)";
+  return nullptr;
 }
 
 }  // namespace platinum::mem
