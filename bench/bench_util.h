@@ -8,8 +8,7 @@
 //
 // Independent sweep points (each owning its own sim::Machine) are sharded
 // across host threads by SweepRunner; docs/PERFORMANCE.md describes the
-// harness, the BENCH_*.json pipeline and the behaviour gate built on top of
-// it.
+// harness, the bench report and the behaviour gate built on top of it.
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 

@@ -16,18 +16,4 @@ void Atc::FlushPage(uint32_t as_id, uint32_t vpn) {
   }
 }
 
-void Atc::FlushAddressSpace(uint32_t as_id) {
-  for (Slot& slot : slots_) {
-    if (slot.valid && slot.as_id == as_id) {
-      slot.valid = false;
-    }
-  }
-}
-
-void Atc::FlushAll() {
-  for (Slot& slot : slots_) {
-    slot.valid = false;
-  }
-}
-
 }  // namespace platinum::hw

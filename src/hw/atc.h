@@ -38,9 +38,6 @@ class Atc {
   }
   // Drops the translation for one page, if cached.
   void FlushPage(uint32_t as_id, uint32_t vpn);
-  // Drops every translation for one address space.
-  void FlushAddressSpace(uint32_t as_id);
-  void FlushAll();
 
  private:
   struct Slot {

@@ -10,9 +10,6 @@ void Pmap::Enter(uint32_t vpn, int16_t module, uint32_t frame, Rights rights) {
   PLAT_CHECK_LT(vpn, entries_.size());
   PLAT_CHECK(rights != Rights::kNone);
   PmapEntry& e = entries_[vpn];
-  if (!e.valid) {
-    ++valid_count_;
-  }
   e.frame = frame;
   e.module = module;
   e.rights = rights;
@@ -21,11 +18,7 @@ void Pmap::Enter(uint32_t vpn, int16_t module, uint32_t frame, Rights rights) {
 
 void Pmap::Remove(uint32_t vpn) {
   PLAT_CHECK_LT(vpn, entries_.size());
-  PmapEntry& e = entries_[vpn];
-  if (e.valid) {
-    --valid_count_;
-    e = PmapEntry{};
-  }
+  entries_[vpn] = PmapEntry{};
 }
 
 void Pmap::Restrict(uint32_t vpn, Rights rights) {
@@ -38,7 +31,6 @@ void Pmap::Restrict(uint32_t vpn, Rights rights) {
   auto cap = static_cast<uint8_t>(rights);
   e.rights = static_cast<Rights>(have & cap);
   if (e.rights == Rights::kNone) {
-    --valid_count_;
     e = PmapEntry{};
   }
 }

@@ -42,12 +42,8 @@ class Pmap {
   // if not present.
   void Restrict(uint32_t vpn, Rights rights);
 
-  // Number of valid entries (for tests and reports).
-  uint32_t valid_count() const { return valid_count_; }
-
  private:
   std::vector<PmapEntry> entries_;
-  uint32_t valid_count_ = 0;
 };
 
 }  // namespace platinum::hw

@@ -217,15 +217,6 @@ class CoherentMemory {
   void CheckInvariants() const;
 
  private:
-  // One shootdown round accumulates targets across restrict/invalidate steps
-  // so the initiator pays the setup latency once per fault.
-  struct ShootdownRound {
-    uint64_t interrupted_mask = 0;  // processors needing a synchronous IPI
-    uint32_t messages_posted = 0;
-    uint32_t invalidated_translations = 0;
-    uint32_t restricted_translations = 0;
-  };
-
   // ---- shootdown.cc ----
   // Taking translations away, written once for every protocol.
   //
@@ -238,28 +229,31 @@ class CoherentMemory {
   uint32_t Collapse(Cpage& page, int keep_module, int initiator);
   // The engine behind both and behind the migrate, thaw and pin-migrate
   // paths (kAllMappings), which set the state themselves. Asks the protocol
-  // whether to run a shootdown round or to scrub after a lease wait, runs
-  // the walker (kCopyMappings: once per module in `modules`), then commits
-  // the round or traces the lease expiry. Returns the translations changed.
+  // whether to run a shootdown round or to scrub after a lease wait and runs
+  // the walker (kCopyMappings: once per module in `modules`, all in one
+  // round, so the initiator pays the setup charge once). When it took a
+  // translation away, it commits the round or traces the lease expiry.
+  // Returns the translations changed.
   uint32_t TakeAway(Cpage& page, Release release, int initiator,
                     const std::vector<int>& modules = {});
   // One walker per kind of change, shared by shootdown rounds and lease
-  // scrubs. With a round, each collects the IPI targets, posts the Cmap
-  // messages and adds to the round's counts. With nullptr (a lease scrub,
-  // after a lease wait has guaranteed no processor still relies on the
-  // translations) each applies the same structural change with none of the
-  // round's cost model and charges per-translation directory bookkeeping.
-  // Both return the number of translations changed.
+  // scrubs. In a round, each posts the Cmap messages and adds the active
+  // processors whose translations it changed to `interrupted`, the round's
+  // synchronous IPI targets. With nullptr (a lease scrub, after a lease wait
+  // has guaranteed no processor still relies on the translations) each
+  // applies the same structural change with none of the round's cost model
+  // and charges per-translation directory bookkeeping. Both return the
+  // number of translations changed.
   //
   // Downgrades every write mapping of `page` to read-only.
-  uint32_t RestrictCpageToRead(Cpage& page, int initiator, ShootdownRound* round);
+  uint32_t RestrictCpageToRead(Cpage& page, int initiator, uint64_t* interrupted);
   // Removes every translation to `page`'s copy on `module` (module < 0: to
   // every copy).
   uint32_t InvalidateMappingsToCopy(Cpage& page, int module, int initiator,
-                                    ShootdownRound* round);
-  // Charges the initiator for the round's IPIs and bills handler time to the
-  // interrupted processors.
-  void CommitShootdown(const Cpage& page, const ShootdownRound& round, int initiator);
+                                    uint64_t* interrupted);
+  // Counts a round that took translations away, charges the initiator for
+  // its IPIs and bills handler time to the `interrupted` processors.
+  void CommitShootdown(const Cpage& page, uint64_t interrupted, int initiator);
 
   // ---- fault_handler.cc ----
   AccessOutcome HandleFaultLocked(Cmap& cm, CmapEntry& entry, Cpage& page, uint32_t vpn,

@@ -29,21 +29,24 @@ namespace platinum::mem {
 
 uint32_t CoherentMemory::TakeAway(Cpage& page, Release release, int initiator,
                                   const std::vector<int>& modules) {
-  ShootdownRound round;
-  ShootdownRound* shootdown = protocol_->AwaitRelease(page, release) ? nullptr : &round;
+  uint64_t interrupted = 0;
+  uint64_t* round = protocol_->AwaitRelease(page, release) ? nullptr : &interrupted;
   uint32_t taken = 0;
   if (release == Release::kWriteRights) {
-    taken = RestrictCpageToRead(page, initiator, shootdown);
+    taken = RestrictCpageToRead(page, initiator, round);
   } else if (release == Release::kAllMappings) {
-    taken = InvalidateMappingsToCopy(page, /*module=*/-1, initiator, shootdown);
+    taken = InvalidateMappingsToCopy(page, /*module=*/-1, initiator, round);
   } else {
     for (int module : modules) {
-      taken += InvalidateMappingsToCopy(page, module, initiator, shootdown);
+      taken += InvalidateMappingsToCopy(page, module, initiator, round);
     }
   }
-  if (shootdown != nullptr) {
-    CommitShootdown(page, round, initiator);
-  } else if (taken > 0) {
+  if (taken == 0) {
+    return 0;
+  }
+  if (round != nullptr) {
+    CommitShootdown(page, interrupted, initiator);
+  } else {
     Trace(TraceEventType::kLeaseExpire, page, initiator, taken);
   }
   return taken;
@@ -70,7 +73,7 @@ uint32_t CoherentMemory::Collapse(Cpage& page, int keep_module, int initiator) {
 }
 
 uint32_t CoherentMemory::RestrictCpageToRead(Cpage& page, int initiator,
-                                             ShootdownRound* round) {
+                                             uint64_t* interrupted) {
   uint32_t restricted = 0;
   for (const CpageMapper& mapper : page.mappers()) {
     Cmap& cm = cmap(mapper.as_id);
@@ -92,31 +95,26 @@ uint32_t CoherentMemory::RestrictCpageToRead(Cpage& page, int initiator,
       changed |= uint64_t{1} << p;
       ++restricted;
       ++machine_->stats(initiator).mappings_restricted;
-      if (round != nullptr && p != initiator && cm.IsActive(p)) {
-        round->interrupted_mask |= uint64_t{1} << p;
+      if (interrupted != nullptr && p != initiator && cm.IsActive(p)) {
+        *interrupted |= uint64_t{1} << p;
       }
     }
-    uint64_t lazy = changed & ~cm.active_mask();
-    if (round != nullptr && changed != 0) {
+    if (interrupted != nullptr && changed != 0) {
+      uint64_t lazy = changed & ~cm.active_mask();
       cm.PostMessage(CmapMessage{mapper.vpn, CmapMessage::Directive::kRestrictToRead, lazy});
-      if (lazy != 0) {
-        ++round->messages_posted;
-      }
     }
   }
   PLAT_CHECK_EQ(page.write_mappings(), 0u)
-      << (round != nullptr ? "restrict" : "scrub") << " left write mappings on cpage "
+      << (interrupted != nullptr ? "restrict" : "scrub") << " left write mappings on cpage "
       << page.id();
-  if (round != nullptr) {
-    round->restricted_translations += restricted;
-  } else {
+  if (interrupted == nullptr) {
     machine_->Compute(static_cast<sim::SimTime>(restricted) * machine_->params().local_read_ns);
   }
   return restricted;
 }
 
 uint32_t CoherentMemory::InvalidateMappingsToCopy(Cpage& page, int module, int initiator,
-                                                  ShootdownRound* round) {
+                                                  uint64_t* interrupted) {
   uint32_t invalidated = 0;
   for (const CpageMapper& mapper : page.mappers()) {
     Cmap& cm = cmap(mapper.as_id);
@@ -141,49 +139,38 @@ uint32_t CoherentMemory::InvalidateMappingsToCopy(Cpage& page, int module, int i
       changed |= uint64_t{1} << p;
       ++invalidated;
       ++machine_->stats(initiator).mappings_invalidated;
-      if (round != nullptr && p != initiator && cm.IsActive(p)) {
-        round->interrupted_mask |= uint64_t{1} << p;
+      if (interrupted != nullptr && p != initiator && cm.IsActive(p)) {
+        *interrupted |= uint64_t{1} << p;
       }
     }
-    uint64_t lazy = changed & ~cm.active_mask();
-    if (round != nullptr && changed != 0) {
+    if (interrupted != nullptr && changed != 0) {
+      uint64_t lazy = changed & ~cm.active_mask();
       cm.PostMessage(CmapMessage{mapper.vpn, CmapMessage::Directive::kInvalidate, lazy});
-      if (lazy != 0) {
-        ++round->messages_posted;
-      }
     }
   }
-  if (round != nullptr) {
-    round->invalidated_translations += invalidated;
-  } else {
+  if (interrupted == nullptr) {
     machine_->Compute(static_cast<sim::SimTime>(invalidated) * machine_->params().local_read_ns);
   }
   return invalidated;
 }
 
-void CoherentMemory::CommitShootdown(const Cpage& page, const ShootdownRound& round,
-                                     int initiator) {
+void CoherentMemory::CommitShootdown(const Cpage& page, uint64_t interrupted, int initiator) {
   const sim::MachineParams& params = machine_->params();
-  if (round.interrupted_mask == 0 && round.messages_posted == 0 &&
-      round.invalidated_translations == 0 && round.restricted_translations == 0) {
-    return;  // nothing happened
-  }
   sim::MachineStats& counters = machine_->stats(initiator);
   ++counters.shootdowns;
-  Trace(TraceEventType::kShootdown, page, initiator,
-        static_cast<uint32_t>(std::popcount(round.interrupted_mask)));
-  if (round.interrupted_mask != 0) {
-    int interrupted = std::popcount(round.interrupted_mask);
+  int targets = std::popcount(interrupted);
+  Trace(TraceEventType::kShootdown, page, initiator, static_cast<uint32_t>(targets));
+  if (interrupted != 0) {
     sim::SimTime round_cost =
         params.shootdown_setup_ns +
-        static_cast<sim::SimTime>(interrupted) * params.shootdown_per_processor_ns;
+        static_cast<sim::SimTime>(targets) * params.shootdown_per_processor_ns;
     machine_->Compute(round_cost);
     // Initiator-side round-trip of a synchronous round (rounds that only
     // post lazy messages cost nothing and are not recorded).
     machine_->obs().RecordLatency(obs::HistKind::kShootdown, round_cost);
-    counters.ipis_sent += static_cast<uint64_t>(interrupted);
+    counters.ipis_sent += static_cast<uint64_t>(targets);
     for (int p = 0; p < machine_->num_nodes(); ++p) {
-      if ((round.interrupted_mask >> p) & 1) {
+      if ((interrupted >> p) & 1) {
         machine_->scheduler().AddInterruptCost(p, params.ipi_handler_ns);
         ++machine_->obs().ipis_received(p);
       }

@@ -55,17 +55,6 @@ sim::SimTime LatencyHistogram::Percentile(double p) const {
   return max_;
 }
 
-LatencyHistogram LatencyHistogram::Since(const LatencyHistogram& b) const {
-  LatencyHistogram d = *this;
-  d.count_ -= b.count_;
-  d.sum_ -= b.sum_;
-  for (int i = 0; i < kBuckets; ++i) {
-    d.buckets_[static_cast<size_t>(i)] -= b.buckets_[static_cast<size_t>(i)];
-  }
-  // min/max cannot be subtracted; keep the totals' bounds as an over-estimate.
-  return d;
-}
-
 std::string LatencyHistogram::ToString() const {
   std::ostringstream out;
   char line[160];

@@ -71,10 +71,6 @@ class LatencyHistogram {
   static sim::SimTime BucketLower(int b);
   static sim::SimTime BucketUpper(int b);
 
-  // Count-wise difference (for per-phase attribution); assumes `b` is an
-  // earlier snapshot of this histogram.
-  LatencyHistogram Since(const LatencyHistogram& b) const;
-
   // Compact text rendering: summary line plus one row per non-empty bucket.
   std::string ToString() const;
 

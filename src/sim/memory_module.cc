@@ -88,12 +88,4 @@ std::optional<MemoryModule::ProbeResult> MemoryModule::FindFrameLocked(
   return std::nullopt;
 }
 
-uint32_t MemoryModule::FrameOwner(uint32_t frame) const {
-  PLAT_CHECK_LT(frame, num_frames_);
-  table_lock_.Acquire();
-  uint32_t owner = slot_state_[frame] == SlotState::kUsed ? slot_cpage_[frame] : kInvalidCpage;
-  table_lock_.Release();
-  return owner;
-}
-
 }  // namespace platinum::sim

@@ -59,8 +59,6 @@ class MemoryModule {
   void FreeFrame(uint32_t frame);
   // Finds the frame backing `cpage_index`, if any.
   std::optional<ProbeResult> FindFrame(uint32_t cpage_index) const;
-  // Which coherent page a frame backs, or kInvalidCpage.
-  uint32_t FrameOwner(uint32_t frame) const;
 
   // Raw backing storage of a frame (page_size bytes).
   uint8_t* FrameData(uint32_t frame) {

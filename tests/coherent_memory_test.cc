@@ -297,6 +297,11 @@ TEST_F(CoherentMemoryTest, InactiveProcessorGetsCmapMessageNotIpi) {
   At(0, 20 * kMillisecond, [&] { arr.Set(0, 2); });
   RunAndCheck();
   EXPECT_EQ(sys_.machine.stats().ipis_sent, 0u);
+  // Two rounds that interrupt nobody still count: the restrict at processor
+  // 1's replicating read and the collapse at processor 0's second write each
+  // only post a message, so neither records a round-trip latency.
+  EXPECT_EQ(sys_.machine.stats().shootdowns, 2u);
+  EXPECT_EQ(sys_.machine.obs().hist(obs::HistKind::kShootdown).count(), 0u);
   // The change was queued for processor 1 to apply at next activation.
   ASSERT_EQ(sys_.kernel.memory().cmap(space_->id()).messages().size(), 1u);
   EXPECT_EQ(sys_.kernel.memory().cmap(space_->id()).messages()[0].target_mask, uint64_t{1} << 1);
@@ -401,9 +406,10 @@ TEST_F(FrameReuseTest, PinZeroesAReusedFrame) {
 
 // The fault branches under each coherence protocol. Both protocols run one
 // fault-resolution path, so every branch but two leaves the same page state,
-// copies and write mappings under either; the last three cases pin the
-// branches where they differ (docs/PROTOCOL.md) and the pin that collapses
-// a replicated page, which freezes it only under the directory protocol.
+// copies and write mappings under either; the last four cases pin the
+// branches where they differ (docs/PROTOCOL.md), the pin that collapses a
+// replicated page, which freezes it only under the directory protocol, and
+// the thaw of a pinned page that nobody maps.
 class FaultBranchTest : public CoherentMemoryTest,
                         public ::testing::WithParamInterface<std::string> {
  protected:
@@ -700,6 +706,22 @@ TEST_P(FaultBranchTest, PinOntoAReplicaCollapsesToIt) {
     EXPECT_EQ(stats.lease_waits, 1u);
     EXPECT_GT(stats.lease_wait_ns, 0);
   }
+}
+
+// Thawing a page nobody maps takes no translation away: no round is counted
+// and no lease expiry is traced. Only the directory protocol freezes the
+// pinned page, so only there does the thaw reach the walkers.
+TEST_P(FaultBranchTest, ThawOfAnUnmappedPageTakesNothingAway) {
+  uint32_t id;
+  auto arr = NewPage("p", &id);
+  sys_.kernel.PinMemory(space_, arr.base_va(), /*node=*/2);
+  EXPECT_EQ(page(id).frozen(), directory());
+  sys_.kernel.ThawMemory(space_, arr.base_va());
+  sys_.kernel.memory().CheckInvariants();
+  EXPECT_FALSE(page(id).frozen());
+  EXPECT_EQ(sys_.machine.stats().shootdowns, 0u);
+  EXPECT_EQ(Events(mem::TraceEventType::kShootdown), 0u);
+  EXPECT_EQ(Events(mem::TraceEventType::kLeaseExpire), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, FaultBranchTest, ::testing::Values("directory", "tardis"),

@@ -27,7 +27,6 @@ TEST(MemoryModuleTest, AllocFindFree) {
   auto alloc = module.AllocFrame(42);
   ASSERT_TRUE(alloc.has_value());
   EXPECT_EQ(module.free_frames(), 15u);
-  EXPECT_EQ(module.FrameOwner(alloc->frame), 42u);
 
   auto found = module.FindFrame(42);
   ASSERT_TRUE(found.has_value());
@@ -36,7 +35,6 @@ TEST(MemoryModuleTest, AllocFindFree) {
   module.FreeFrame(alloc->frame);
   EXPECT_EQ(module.free_frames(), 16u);
   EXPECT_FALSE(module.FindFrame(42).has_value());
-  EXPECT_EQ(module.FrameOwner(alloc->frame), kInvalidCpage);
 }
 
 TEST(MemoryModuleTest, FindSkipsTombstones) {

@@ -123,18 +123,6 @@ TEST(HistogramTest, ZeroesLiveInBucketZero) {
   EXPECT_EQ(h.max(), 0u);
 }
 
-TEST(HistogramTest, SinceReportsTheDelta) {
-  LatencyHistogram h;
-  h.Record(100);
-  LatencyHistogram snapshot = h;
-  h.Record(800);
-  LatencyHistogram d = h.Since(snapshot);
-  EXPECT_EQ(d.count(), 1u);
-  EXPECT_EQ(d.sum(), 800u);
-  EXPECT_EQ(d.buckets()[10], 1u);
-  EXPECT_EQ(d.buckets()[7], 0u);
-}
-
 // --- TraceLog ring buffer -----------------------------------------------------
 
 mem::TraceEvent EventAt(sim::SimTime time, uint32_t thread = 0) {

@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
-"""Run the bench suite and emit a BENCH_<tag>.json perf baseline.
+"""Run the bench suite and write a JSON report of its metrics.
 
 Every bench binary prints a PLATINUM_BENCH_METRICS line (bench/bench_util.h:
 RunMetrics) summing simulated references and simulated time across all the
 machines it built; this script adds host wall-clock and peak resident memory
-per binary and derives accesses/sec — the host-throughput figure the fast path
-(docs/PERFORMANCE.md) is meant to move. Peak memory is host-side like the
-wall-clock: no gate compares it. Tables written via PLATINUM_JSON_DIR are
-embedded so the simulated-time series travel with the baseline.
-tools/behaviour_gate.py reuses BENCHES, SMALL_ENV and run_bench.
+per binary and derives accesses/sec. Tables written via PLATINUM_JSON_DIR are
+embedded so the simulated-time series travel with the report. No gate reads
+the report: tools/behaviour_gate.py checks simulated behaviour against
+bench/golden_small.json, reusing BENCHES, SMALL_ENV and run_bench, and
+perfbench/ measures host speed (docs/PERFORMANCE.md).
 
 Usage:
-  tools/bench_report.py --build-dir build --out BENCH_PR22.json [--small]
+  tools/bench_report.py --build-dir build --out build/bench_report.json [--small]
 
 `--small` shrinks the workloads to smoke size (SMALL_ENV, the sizes the
 behaviour gate runs); without it the default run-in-seconds sizes are used.
@@ -100,8 +100,8 @@ def run_bench(binary, workdir, env):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--build-dir", default="build")
-    parser.add_argument("--out", default="BENCH_PR22.json")
-    parser.add_argument("--tag", default="PR22")
+    parser.add_argument("--out", default="bench_report.json")
+    parser.add_argument("--tag", default="local")
     parser.add_argument("--small", action="store_true", help="smoke-size workloads")
     parser.add_argument("--benches", nargs="*", default=BENCHES)
     args = parser.parse_args()
