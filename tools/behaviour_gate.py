@@ -49,6 +49,8 @@ SCENARIOS = {
     "trie_open": ["trie", "--procs=8", "--ops=20000", "--keys=4096", "--arrival=open"],
     # Defrost passes that thaw several pages each, under the invariant oracle.
     "neural_defrost": ["neural", "--procs=16"],
+    # The adaptive daemon wakes at per-page thaw deadlines, not periodically.
+    "neural_adaptive": ["neural", "--procs=16", "--adaptive-defrost"],
     "trie_defrost": ["trie", "--procs=16", "--ops=50000", "--keys=16384"],
     # The per-processor and per-module counter tables of Observability::ToString.
     "gauss_histograms": ["gauss", "--procs=4", "--n=48", "--histograms"],
