@@ -7,8 +7,9 @@
 // and their run-time support." These are those hooks: per-page advice that
 // overrides the fault-time replication decision, explicit pinning of
 // write-shared data, and prefetch-style pre-replication of read-mostly data.
-#include <cstring>
-
+// Pinning and pre-replication make the fault handler's own page moves
+// (fault_handler.cc) on request; each hook adds only its preconditions and
+// the state it leaves the page in.
 #include "src/base/check.h"
 #include "src/mem/coherent_memory.h"
 #include "src/mem/protocol.h"
@@ -37,8 +38,7 @@ void CoherentMemory::Advise(uint32_t as_id, uint32_t vpn, uint32_t npages,
 void CoherentMemory::PinTo(uint32_t as_id, uint32_t vpn, int node) {
   PLAT_CHECK_GE(node, 0);
   PLAT_CHECK_LT(node, machine_->num_nodes());
-  Cmap& cm = cmap(as_id);
-  Cpage& page = cpages_.at(BoundCpage(cm, vpn));
+  Cpage& page = cpages_.at(BoundCpage(cmap(as_id), vpn));
   int initiator = machine_->scheduler().current_processor_or(node);
 
   std::optional<PhysicalCopy> copy;
@@ -49,27 +49,14 @@ void CoherentMemory::PinTo(uint32_t as_id, uint32_t vpn, int node) {
   }
   if (page.state() == CpageState::kEmpty) {
     // Materialize the page directly on the target node.
-    std::memset(machine_->module(copy->module).FrameData(copy->frame), 0,
-                machine_->params().page_size_bytes);
-    page.AddCopy(*copy);
+    Fill(page, copy, initiator);
     page.SetState(CpageState::kPresent1);  // protocol: pin-fill empty -> present1
-    ++machine_->stats(initiator).initial_fills;
   } else if (copy.has_value()) {
-    // Move the data: invalidate every translation, copy to the target,
-    // reclaim the old frames. This is a deliberate placement change, not
-    // coherence interference, so the invalidation history is untouched.
-    TakeAway(page, Release::kAllMappings, initiator);
-    CopyInto(page, *copy);
-    while (!page.copies().empty()) {
-      FreeCopy(page, page.copies().front().module);
-    }
-    page.AddCopy(*copy);
-    page.ClearWriteMappings();
+    // Move the data to the target. This is a deliberate placement change,
+    // not coherence interference, so the invalidation history is untouched.
+    Migrate(page, *copy, initiator);
     // protocol: pin-migrate present1|present+|modified -> present1
     page.SetState(CpageState::kPresent1);
-    ++page.stats().migrations;
-    ++machine_->stats(initiator).migrations;
-    Trace(TraceEventType::kMigrate, page, initiator, static_cast<uint32_t>(node));
   } else if (page.copies().size() > 1) {
     // Collapse to the copy already on the target node.
     Collapse(page, node, initiator);
@@ -78,15 +65,14 @@ void CoherentMemory::PinTo(uint32_t as_id, uint32_t vpn, int node) {
   if (protocol_->UsesFreezing() && !page.frozen()) {
     Freeze(page, initiator);
   }
-  Trace(TraceEventType::kPin, page, initiator, static_cast<uint32_t>(node));
+  Trace(TraceEventType::kPin, page.id(), initiator, static_cast<uint32_t>(node));
   NotifyTransition(ProtocolTrigger::kPin);
 }
 
 void CoherentMemory::ReplicateTo(uint32_t as_id, uint32_t vpn, int node) {
   PLAT_CHECK_GE(node, 0);
   PLAT_CHECK_LT(node, machine_->num_nodes());
-  Cmap& cm = cmap(as_id);
-  Cpage& page = cpages_.at(BoundCpage(cm, vpn));
+  Cpage& page = cpages_.at(BoundCpage(cmap(as_id), vpn));
   if (page.state() == CpageState::kEmpty || page.HasCopyOn(node) || page.frozen()) {
     return;
   }
@@ -95,15 +81,8 @@ void CoherentMemory::ReplicateTo(uint32_t as_id, uint32_t vpn, int node) {
   if (!copy.has_value()) {
     return;  // the target module is full
   }
-  if (page.state() == CpageState::kModified) {
-    DowngradeToRead(page, initiator);
-  }
-  CopyInto(page, *copy);
-  page.AddCopy(*copy);
+  Replicate(page, *copy, initiator);
   page.SetState(CpageState::kPresentPlus);  // protocol: replicate present1|present+ -> present+
-  ++page.stats().replications;
-  ++machine_->stats(initiator).replications;
-  Trace(TraceEventType::kReplicate, page, initiator, static_cast<uint32_t>(node));
   NotifyTransition(ProtocolTrigger::kReplicateTo);
 }
 

@@ -82,7 +82,8 @@ void CoherentMemory::UnbindPage(uint32_t as_id, uint32_t vpn) {
   page.RemoveMapper(as_id, vpn);
   // Unbind can run outside any fiber (address-space teardown from the host
   // harness), where there is no current processor to attribute.
-  Trace(TraceEventType::kUnbind, page, machine_->scheduler().current_processor_or(-1), as_id);
+  Trace(TraceEventType::kUnbind, page.id(), machine_->scheduler().current_processor_or(-1),
+        as_id);
   entry = CmapEntry{};
   NotifyTransition(ProtocolTrigger::kUnbind);
 }
@@ -219,23 +220,11 @@ uint32_t CoherentMemory::TakeCopyReads(int module, uint32_t frame) {
   return static_cast<uint32_t>(reads);
 }
 
-void CoherentMemory::Trace(TraceEventType type, const Cpage& page, int processor,
+void CoherentMemory::Trace(TraceEventType type, uint32_t cpage, int processor,
                            uint32_t detail, uint32_t reads) {
   if (trace_ == nullptr && page_sink_ == nullptr) [[likely]] {
     return;
   }
-  EmitTrace(type, page.id(), processor, detail, reads);
-}
-
-void CoherentMemory::TraceGlobal(TraceEventType type, int processor, uint32_t detail) {
-  if (trace_ == nullptr && page_sink_ == nullptr) [[likely]] {
-    return;
-  }
-  EmitTrace(type, kTraceNoCpage, processor, detail, 0);
-}
-
-void CoherentMemory::EmitTrace(TraceEventType type, uint32_t cpage, int processor,
-                               uint32_t detail, uint32_t reads) {
   const sim::Fiber* fiber = machine_->scheduler().current();
   TraceEvent event{machine_->scheduler().now(), type, cpage, static_cast<int16_t>(processor),
                    detail, fiber != nullptr ? fiber->id() : 0, reads};

@@ -256,13 +256,30 @@ class CoherentMemory {
   void CommitShootdown(const Cpage& page, uint64_t interrupted, int initiator);
 
   // ---- fault_handler.cc ----
-  AccessOutcome HandleFaultLocked(Cmap& cm, CmapEntry& entry, Cpage& page, uint32_t vpn,
-                                  sim::AccessKind kind, int processor);
   // Fault resolution, one skeleton for every protocol: fill, local-copy
-  // probe, replicate or migrate, remote map. The protocol supplies whether
-  // taking translations away waits on leases and what a grant costs.
-  void ResolveReadFault(Cmap& cm, CmapEntry& entry, Cpage& page, uint32_t vpn, int processor);
-  void ResolveWriteFault(Cmap& cm, CmapEntry& entry, Cpage& page, uint32_t vpn, int processor);
+  // probe, replicate or migrate, remote map. Each returns the copy that
+  // HandleFault maps for the faulting processor (read-only for a read fault,
+  // read-write for a write fault) and the protocol grants. The protocol
+  // supplies whether taking translations away waits on leases and what a
+  // grant costs.
+  PhysicalCopy ResolveReadFault(Cpage& page, int processor);
+  PhysicalCopy ResolveWriteFault(Cpage& page, int processor);
+  // The four page moves, shared by the fault resolvers and the Section 9
+  // hooks. Each does its copy work, counts it for the processor making the
+  // move and traces it; the caller sets the page state.
+  //
+  // Fill: zero-fills `frame` as the first copy of an empty page and returns
+  // it. Aborts when no frame could be allocated.
+  PhysicalCopy Fill(Cpage& page, std::optional<PhysicalCopy> frame, int initiator);
+  // Replicate: adds `dst` as another copy, block-transferred from an
+  // existing one; a modified page is first downgraded to read-only.
+  void Replicate(Cpage& page, const PhysicalCopy& dst, int initiator);
+  // Migrate: takes away every translation, moves the data to `dst` and frees
+  // every old copy. Returns the translations taken away.
+  uint32_t Migrate(Cpage& page, const PhysicalCopy& dst, int initiator);
+  // Remote map: returns the primary copy for a mapping from another node; a
+  // page the policy `declined` to cache may freeze (MaybeFreeze).
+  PhysicalCopy MapRemote(Cpage& page, int processor, bool declined);
   // The copy of `page` on `processor`'s own module, located through the
   // local inverted page table and charged as local references.
   PhysicalCopy LocalCopy(const Cpage& page, int processor);
@@ -273,8 +290,6 @@ class CoherentMemory {
   // full or already holds a copy. Charges the inverted-page-table probes as
   // local references from `requester`'s node, remote ones otherwise.
   std::optional<PhysicalCopy> AllocateFrameOn(Cpage& page, int module, int requester);
-  // Creates the first physical copy of an empty page, zero-filled.
-  PhysicalCopy InitialFill(Cpage& page, int processor);
   // Copies `page`'s primary copy onto `dst` with the block-transfer engine.
   void CopyInto(Cpage& page, const PhysicalCopy& dst);
   // Virtual time the current fault spent in block transfers. The transfer
@@ -283,17 +298,13 @@ class CoherentMemory {
   // lock), so HandleFault excludes it from handler_busy_until.
   sim::SimTime fault_copy_ns_ = 0;
   void FreeCopy(Cpage& page, int module);
-  // Records a protocol event into the trace ring (if tracing is enabled) and
-  // fans it out to the page-event sink (if attached); the faulting fiber id
-  // is captured automatically. A no-op when neither consumer is present.
-  // `reads` is set for kPageFree only (TraceEvent::reads).
-  void Trace(TraceEventType type, const Cpage& page, int processor, uint32_t detail,
+  // Records a protocol event on `cpage` (kTraceNoCpage for a machine-wide
+  // event) into the trace ring (if tracing is enabled) and fans it out to the
+  // page-event sink (if attached); the faulting fiber id is captured
+  // automatically. A no-op when neither consumer is present. `reads` is set
+  // for kPageFree only (TraceEvent::reads).
+  void Trace(TraceEventType type, uint32_t cpage, int processor, uint32_t detail,
              uint32_t reads = 0);
-  // As Trace, for events not tied to a coherent page (defrost scans).
-  void TraceGlobal(TraceEventType type, int processor, uint32_t detail);
-  // Shared tail of Trace/TraceGlobal: builds the event once, then fans out.
-  void EmitTrace(TraceEventType type, uint32_t cpage, int processor, uint32_t detail,
-                 uint32_t reads);
   // The reads the copy in (module, frame) served while a sink was attached,
   // saturating at UINT32_MAX; zeroes the count for the frame's next copy.
   uint32_t TakeCopyReads(int module, uint32_t frame);
@@ -304,7 +315,7 @@ class CoherentMemory {
     }
   }
   // Central fault-time choice: advice first, then the replication policy.
-  bool DecideCache(Cpage& page, const FaultInfo& fault, sim::SimTime now);
+  bool DecideCache(const Cpage& page, bool is_write, sim::SimTime now);
   // Marks the page frozen if the policy (or its advice) wants declined pages
   // frozen.
   void MaybeFreeze(Cpage& page);

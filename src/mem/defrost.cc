@@ -18,17 +18,18 @@ void CoherentMemory::StartDefrostDaemon() {
     return;
   }
   defrost_daemon_started_ = true;
-  const sim::MachineParams& params = machine_->params();
-  if (params.adaptive_defrost) {
-    // Priority-queue variant: wake at the earliest per-page thaw deadline.
-    machine_->scheduler().Spawn(
-        params.defrost_processor, "defrost-daemon",
-        [this] {
-          sim::Scheduler& sched = machine_->scheduler();
-          const sim::SimTime t2 = machine_->params().t2_defrost_period_ns;
-          for (;;) {
-            sim::SimTime now = sched.now();
-            sim::SimTime wake = now + t2;
+  machine_->scheduler().Spawn(
+      machine_->params().defrost_processor, "defrost-daemon",
+      [this] {
+        sim::Scheduler& sched = machine_->scheduler();
+        const sim::MachineParams& params = machine_->params();
+        const sim::SimTime t2 = params.t2_defrost_period_ns;
+        for (;;) {
+          // The periodic daemon wakes every t2; the adaptive variant wakes at
+          // the earliest per-page thaw deadline.
+          sim::SimTime now = sched.now();
+          sim::SimTime wake = now + t2;
+          if (params.adaptive_defrost) {
             // The deadline scan is a critical section; the sleep that follows
             // must happen outside it (release-before-block discipline).
             frozen_lock_.Acquire();
@@ -37,23 +38,11 @@ void CoherentMemory::StartDefrostDaemon() {
               wake = std::min(wake, std::max(deadline, now + sim::kMillisecond));
             }
             frozen_lock_.Release();
-            sched.Sleep(wake - now);
-            size_t thawed = ThawExpired(t2);
-            TraceGlobal(TraceEventType::kDefrostScan, machine_->params().defrost_processor,
-                        static_cast<uint32_t>(thawed));
           }
-        },
-        /*daemon=*/true);
-    return;
-  }
-  machine_->scheduler().Spawn(
-      params.defrost_processor, "defrost-daemon",
-      [this] {
-        for (;;) {
-          machine_->scheduler().Sleep(machine_->params().t2_defrost_period_ns);
-          size_t thawed = ThawAllFrozen();
-          TraceGlobal(TraceEventType::kDefrostScan, machine_->params().defrost_processor,
-                      static_cast<uint32_t>(thawed));
+          sched.Sleep(wake - now);
+          size_t thawed = params.adaptive_defrost ? ThawExpired(t2) : ThawAllFrozen();
+          Trace(TraceEventType::kDefrostScan, kTraceNoCpage, params.defrost_processor,
+                static_cast<uint32_t>(thawed));
         }
       },
       /*daemon=*/true);

@@ -4,8 +4,7 @@
 
 namespace platinum::mem {
 
-bool TimestampPolicy::ShouldCache(const Cpage& page, const FaultInfo& fault, sim::SimTime now) {
-  (void)fault;
+bool TimestampPolicy::ShouldCache(const Cpage& page, bool, sim::SimTime now) {
   // Bounded clock skew between simulated processors can place `now` slightly
   // before the recorded invalidation; such a page is by definition hot.
   bool quiescent = !page.ever_invalidated() ||
@@ -19,14 +18,12 @@ bool TimestampPolicy::ShouldCache(const Cpage& page, const FaultInfo& fault, sim
   return quiescent;
 }
 
-bool MigrateThenFreezePolicy::ShouldCache(const Cpage& page, const FaultInfo& fault,
-                                          sim::SimTime now) {
-  (void)now;
+bool MigrateThenFreezePolicy::ShouldCache(const Cpage& page, bool is_write, sim::SimTime) {
   if (page.frozen()) {
     return false;  // frozen for good
   }
   // Pages never written replicate freely.
-  if (page.stats().write_faults == 0 && !fault.is_write) {
+  if (page.stats().write_faults == 0 && !is_write) {
     return true;
   }
   return page.stats().migrations + page.stats().replications < max_migrations_;

@@ -20,20 +20,14 @@
 
 namespace platinum::mem {
 
-struct FaultInfo {
-  uint32_t as_id = 0;
-  uint32_t vpn = 0;
-  int processor = 0;
-  bool is_write = false;
-};
-
 class ReplicationPolicy {
  public:
   virtual ~ReplicationPolicy() = default;
 
-  // True: give the faulting processor a local copy (replicate/migrate).
-  // False: resolve the fault with a mapping to an existing remote copy.
-  virtual bool ShouldCache(const Cpage& page, const FaultInfo& fault, sim::SimTime now) = 0;
+  // True: give the faulting processor a local copy (replicate on a read
+  // fault, migrate on a write fault). False: resolve the fault with a
+  // mapping to an existing remote copy.
+  virtual bool ShouldCache(const Cpage& page, bool is_write, sim::SimTime now) = 0;
 
   // Whether a declined page should be marked frozen and handed to the defrost
   // daemon (the PLATINUM behaviour), as opposed to simply staying put.
@@ -50,7 +44,7 @@ class TimestampPolicy : public ReplicationPolicy {
   explicit TimestampPolicy(sim::SimTime t1, bool thaw_on_access = false)
       : t1_(t1), thaw_on_access_(thaw_on_access) {}
 
-  bool ShouldCache(const Cpage& page, const FaultInfo& fault, sim::SimTime now) override;
+  bool ShouldCache(const Cpage& page, bool is_write, sim::SimTime now) override;
 
  private:
   const sim::SimTime t1_;
@@ -61,7 +55,7 @@ class TimestampPolicy : public ReplicationPolicy {
 // Degenerates badly under fine-grain write sharing.
 class AlwaysCachePolicy : public ReplicationPolicy {
  public:
-  bool ShouldCache(const Cpage&, const FaultInfo&, sim::SimTime) override { return true; }
+  bool ShouldCache(const Cpage&, bool, sim::SimTime) override { return true; }
   bool FreezeOnDecline() const override { return false; }
 };
 
@@ -69,7 +63,7 @@ class AlwaysCachePolicy : public ReplicationPolicy {
 // remote mapping. Approximates static placement with no data motion.
 class NeverCachePolicy : public ReplicationPolicy {
  public:
-  bool ShouldCache(const Cpage& page, const FaultInfo&, sim::SimTime) override {
+  bool ShouldCache(const Cpage& page, bool, sim::SimTime) override {
     return page.state() == CpageState::kEmpty;  // someone must create the first copy
   }
   bool FreezeOnDecline() const override { return false; }
@@ -82,7 +76,7 @@ class MigrateThenFreezePolicy : public ReplicationPolicy {
  public:
   explicit MigrateThenFreezePolicy(uint32_t max_migrations) : max_migrations_(max_migrations) {}
 
-  bool ShouldCache(const Cpage& page, const FaultInfo& fault, sim::SimTime now) override;
+  bool ShouldCache(const Cpage& page, bool is_write, sim::SimTime now) override;
 
  private:
   const uint32_t max_migrations_;

@@ -47,7 +47,7 @@ uint32_t CoherentMemory::TakeAway(Cpage& page, Release release, int initiator,
   if (round != nullptr) {
     CommitShootdown(page, interrupted, initiator);
   } else {
-    Trace(TraceEventType::kLeaseExpire, page, initiator, taken);
+    Trace(TraceEventType::kLeaseExpire, page.id(), initiator, taken);
   }
   return taken;
 }
@@ -159,7 +159,7 @@ void CoherentMemory::CommitShootdown(const Cpage& page, uint64_t interrupted, in
   sim::MachineStats& counters = machine_->stats(initiator);
   ++counters.shootdowns;
   int targets = std::popcount(interrupted);
-  Trace(TraceEventType::kShootdown, page, initiator, static_cast<uint32_t>(targets));
+  Trace(TraceEventType::kShootdown, page.id(), initiator, static_cast<uint32_t>(targets));
   if (interrupted != 0) {
     sim::SimTime round_cost =
         params.shootdown_setup_ns +

@@ -13,8 +13,9 @@ using sim::kMillisecond;
 
 constexpr sim::SimTime kT1 = 10 * kMillisecond;
 
-FaultInfo ReadFault() { return FaultInfo{0, 0, 1, false}; }
-FaultInfo WriteFault() { return FaultInfo{0, 0, 1, true}; }
+// ShouldCache's `is_write` argument.
+bool ReadFault() { return false; }
+bool WriteFault() { return true; }
 
 TEST(TimestampPolicyTest, CachesWhenNeverInvalidated) {
   TimestampPolicy policy(kT1);
