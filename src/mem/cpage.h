@@ -99,7 +99,6 @@ class Cpage {
   uint32_t write_mappings() const { return write_mappings_; }
   void AddWriteMapping() { ++write_mappings_; }
   void DropWriteMapping();
-  void ClearWriteMappings() { write_mappings_ = 0; }
 
   // Freeze/thaw bookkeeping (Section 4.2).
   bool frozen() const { return frozen_; }

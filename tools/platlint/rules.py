@@ -428,8 +428,7 @@ class ProtocolConformanceRule(Rule):
     _PROTOCOL_RE = re.compile(r"protocol:\s*([\w-]+)\s+([\w+|]+)\s*->\s*([\w+]+)")
     _MUTATOR_CALL_RE = re.compile(
         r"(?:->|\.)\s*(SetState|SetFrozen|SetFreezeTime|AddCopy|RemoveCopy|"
-        r"AddWriteMapping|DropWriteMapping|ClearWriteMappings|"
-        r"RecordInvalidation)\s*\(")
+        r"AddWriteMapping|DropWriteMapping|RecordInvalidation)\s*\(")
 
     def _load_specs(self, model: RepoModel):
         """[(repo-relative path, parsed spec)] for every committed spec.
