@@ -27,7 +27,8 @@
 namespace platinum::base {
 
 // A compile-time-only capability. Acquire/Release are const so that const
-// accessors (e.g. Port::queued) can enter the critical section.
+// accessors (e.g. CoherentMemory::frozen_count) can enter the critical
+// section.
 class CAPABILITY("discipline lock") DisciplineLock {
  public:
   constexpr DisciplineLock() = default;

@@ -53,8 +53,7 @@ class Cmap {
   uint32_t as_id() const { return as_id_; }
   uint32_t num_pages() const { return num_pages_; }
 
-  // Inline: the access observer reads the bound cpage on every observed
-  // access.
+  // Inline: every fault and every shootdown walk looks up its entries.
   CmapEntry& entry(uint32_t vpn) {
     PLAT_CHECK_LT(vpn, num_pages_);
     return entries_[vpn];
