@@ -2,7 +2,9 @@
 //
 // An anonymous private mapping: the host kernel supplies a zeroed page the
 // first time each page is touched, so a mapping of simulated memory costs no
-// set-up work and no resident memory beyond what the simulation uses.
+// set-up work and no resident memory beyond what the simulation uses. It
+// holds the machine's frames, the UMA machine's shared memory, each fiber
+// stack and each Pmap's entries.
 // MAP_NORESERVE keeps untouched pages out of the commit charge, except on
 // hosts with strict overcommit (vm.overcommit_memory=2), which charge the
 // whole mapping as an allocation of the same size would.

@@ -86,7 +86,7 @@ void Apply(System& sys, const Event& event, int seq) {
 std::string Abstract(System& sys, const ExplorerConfig& config) {
   std::ostringstream out;
   mem::CoherentMemory& memory = sys.kernel->memory();
-  mem::Cmap& cm = memory.cmap(sys.space->id());
+  const mem::Cmap& cm = memory.cmap(sys.space->id());
   for (int page = 0; page < config.pages; ++page) {
     const mem::CmapEntry& entry = cm.entry(static_cast<uint32_t>(page));
     const mem::Cpage& cpage = memory.cpages().at(entry.cpage);
@@ -109,7 +109,9 @@ std::string Abstract(System& sys, const ExplorerConfig& config) {
       out << (cpage.HasCopyOn(m) ? '1' : '0');
     }
     for (int p = 0; p < config.processors; ++p) {
-      const hw::PmapEntry& pe = cm.pmap(p).entry(static_cast<uint32_t>(page));
+      const hw::Pmap* pmap = cm.find_pmap(p);
+      const hw::PmapEntry pe =
+          pmap != nullptr ? pmap->entry(static_cast<uint32_t>(page)) : hw::PmapEntry{};
       out << (!pe.valid ? 'n' : pe.rights == hw::Rights::kReadWrite ? 'w' : 'r');
     }
     out << ';';

@@ -4,7 +4,9 @@
 
 namespace platinum::hw {
 
-Pmap::Pmap(uint32_t num_pages) : entries_(num_pages) {}
+Pmap::Pmap(uint32_t num_pages)
+    : mapping_(num_pages * sizeof(PmapEntry)),
+      entries_(static_cast<PmapEntry*>(mapping_.data()), num_pages) {}
 
 void Pmap::Enter(uint32_t vpn, int16_t module, uint32_t frame, Rights rights) {
   PLAT_CHECK_LT(vpn, entries_.size());

@@ -5,21 +5,26 @@
 // physical copies on different nodes, and so shootdowns need not stall other
 // processors (paper Section 3.1). A Pmap is only a cache of valid
 // virtual-to-physical translations — it holds the processor's working set,
-// not the whole address space.
+// not the whole address space. Its entries live in a base::AnonymousMapping,
+// so the host supplies memory only for the pages of entries the processor has
+// translated.
 #ifndef SRC_HW_PMAP_H_
 #define SRC_HW_PMAP_H_
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
+#include "src/base/anonymous_mapping.h"
 #include "src/base/check.h"
 #include "src/hw/rights.h"
 
 namespace platinum::hw {
 
+// One translation. An entry of all zero bytes, which is what PmapEntry{} and
+// an untouched page of a Pmap's mapping both hold, means no translation.
 struct PmapEntry {
   uint32_t frame = 0;
-  int16_t module = -1;
+  int16_t module = 0;
   Rights rights = Rights::kNone;
   bool valid = false;
 };
@@ -43,7 +48,8 @@ class Pmap {
   void Restrict(uint32_t vpn, Rights rights);
 
  private:
-  std::vector<PmapEntry> entries_;
+  base::AnonymousMapping mapping_;
+  std::span<PmapEntry> entries_;
 };
 
 }  // namespace platinum::hw

@@ -72,7 +72,12 @@ class Cmap {
     }
     return *pmaps_[processor];
   }
-  bool has_pmap(int processor) const { return pmaps_[processor] != nullptr; }
+  // The processor's Pmap for this space, or nullptr if it has none yet.
+  const hw::Pmap* find_pmap(int processor) const {
+    PLAT_CHECK_GE(processor, 0);
+    PLAT_CHECK_LT(processor, sim::kMaxProcessors);
+    return pmaps_[processor].get();
+  }
 
   // Activation census: a processor is "active" in the space while it runs (or
   // can immediately run) one of its threads; only active processors need an

@@ -251,31 +251,29 @@ void CoherentMemory::CheckInvariants() const {
       const Cpage& page = cpages_.at(entry.cpage);
       for (int p = 0; p < machine_->num_nodes(); ++p) {
         bool referenced = (entry.reference_mask >> p) & 1;
-        bool has_translation = false;
-        if (cm->has_pmap(p)) {
-          const hw::Pmap& pmap = const_cast<Cmap&>(*cm).pmap(p);
-          const hw::PmapEntry& pe = pmap.entry(vpn);
-          has_translation = pe.valid;
-          if (pe.valid) {
-            PLAT_CHECK(page.HasCopyOn(pe.module))
-                << "pmap of cpu " << p << " maps vpn " << vpn << " to module " << pe.module
-                << " which holds no copy of cpage " << entry.cpage;
-            PLAT_CHECK(Allows(entry.rights, pe.rights))
-                << "pmap rights exceed VM rights for vpn " << vpn;
-            if (pe.rights == hw::Rights::kReadWrite) {
-              // Rights domination: a writable translation may exist only
-              // while the directory says the page is modified. Together with
-              // the directory's one-copy rule for modified pages this gives
-              // "a writable copy implies exactly one copy".
-              PLAT_CHECK(page.state() == CpageState::kModified)
-                  << "cpu " << p << " holds a write mapping of vpn " << vpn << " but cpage "
-                  << entry.cpage << " is not in the modified state";
-              ++write_mappings[entry.cpage];
-            }
-            // The physical frame must still belong to this coherent page.
-            auto copy = page.FindCopy(pe.module);
-            PLAT_CHECK(copy.has_value() && copy->frame == pe.frame);
+        // A processor without a Pmap holds no translation.
+        const hw::Pmap* pmap = cm->find_pmap(p);
+        const hw::PmapEntry pe = pmap != nullptr ? pmap->entry(vpn) : hw::PmapEntry{};
+        bool has_translation = pe.valid;
+        if (pe.valid) {
+          PLAT_CHECK(page.HasCopyOn(pe.module))
+              << "pmap of cpu " << p << " maps vpn " << vpn << " to module " << pe.module
+              << " which holds no copy of cpage " << entry.cpage;
+          PLAT_CHECK(Allows(entry.rights, pe.rights))
+              << "pmap rights exceed VM rights for vpn " << vpn;
+          if (pe.rights == hw::Rights::kReadWrite) {
+            // Rights domination: a writable translation may exist only
+            // while the directory says the page is modified. Together with
+            // the directory's one-copy rule for modified pages this gives
+            // "a writable copy implies exactly one copy".
+            PLAT_CHECK(page.state() == CpageState::kModified)
+                << "cpu " << p << " holds a write mapping of vpn " << vpn << " but cpage "
+                << entry.cpage << " is not in the modified state";
+            ++write_mappings[entry.cpage];
           }
+          // The physical frame must still belong to this coherent page.
+          auto copy = page.FindCopy(pe.module);
+          PLAT_CHECK(copy.has_value() && copy->frame == pe.frame);
         }
         PLAT_CHECK_EQ(referenced, has_translation)
             << "reference-mask mismatch for AS " << cm->as_id() << " vpn " << vpn << " cpu " << p;
@@ -284,7 +282,6 @@ void CoherentMemory::CheckInvariants() const {
         if (cached != nullptr) {
           PLAT_CHECK(has_translation) << "stale ATC entry for AS " << cm->as_id() << " vpn "
                                       << vpn << " cpu " << p;
-          const hw::PmapEntry& pe = const_cast<Cmap&>(*cm).pmap(p).entry(vpn);
           PLAT_CHECK_EQ(cached->module, pe.module);
           PLAT_CHECK_EQ(cached->frame, pe.frame);
           PLAT_CHECK(Allows(pe.rights, cached->rights)) << "ATC rights exceed Pmap rights";

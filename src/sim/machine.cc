@@ -5,6 +5,18 @@
 #include "src/base/check.h"
 
 namespace platinum::sim {
+namespace {
+
+// The bytes of one node's frames, checked so that all nodes' frames together
+// fit in a size_t.
+size_t ModuleBytes(const MachineParams& params) {
+  size_t bytes = size_t{params.frames_per_module} * params.page_size_bytes;
+  PLAT_CHECK_LE(bytes, SIZE_MAX / params.num_processors)
+      << "the frames of " << params.num_processors << " nodes exceed the host address space";
+  return bytes;
+}
+
+}  // namespace
 
 Machine::Machine(const MachineParams& params)
     : params_([&] {
@@ -13,10 +25,13 @@ Machine::Machine(const MachineParams& params)
       }()),
       obs_(params_.num_processors),
       scheduler_(params_.num_processors, params_.quantum_ns),
+      frames_(params_.num_processors * ModuleBytes(params_)),
       interconnect_(params_, &modules_, &obs_) {
+  auto* frames = static_cast<uint8_t*>(frames_.data());
+  const size_t module_bytes = ModuleBytes(params_);
   modules_.reserve(params_.num_processors);
   for (int node = 0; node < params_.num_processors; ++node) {
-    modules_.emplace_back(node, params_);
+    modules_.emplace_back(node, params_, frames + node * module_bytes);
   }
 }
 

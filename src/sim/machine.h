@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/base/anonymous_mapping.h"
 #include "src/base/check.h"
 #include "src/obs/observability.h"
 #include "src/sim/interconnect.h"
@@ -80,6 +81,8 @@ class Machine {
   const MachineParams params_;
   obs::Observability obs_;
   Scheduler scheduler_;
+  // Every node's frames, node after node; each module addresses its slice.
+  base::AnonymousMapping frames_;
   std::vector<MemoryModule> modules_;
   Interconnect interconnect_;
   uint32_t next_raw_page_id_ = 0x40000000;

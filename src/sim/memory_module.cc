@@ -4,13 +4,13 @@
 
 namespace platinum::sim {
 
-MemoryModule::MemoryModule(int node, const MachineParams& params)
+MemoryModule::MemoryModule(int node, const MachineParams& params, uint8_t* frames)
     : node_(node),
       num_frames_(params.frames_per_module),
       page_size_(params.page_size_bytes),
       slot_state_(num_frames_, SlotState::kFree),
       slot_cpage_(num_frames_, kInvalidCpage),
-      data_(static_cast<size_t>(num_frames_) * page_size_),
+      frames_(frames),
       free_frames_(num_frames_) {}
 
 uint32_t MemoryModule::Hash(uint32_t cpage_index) const {

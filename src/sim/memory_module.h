@@ -7,11 +7,12 @@
 // fault handler can locate or allocate a local copy using only local memory
 // references (Section 3.3).
 //
-// The backing storage is mapped on demand (base::AnonymousMapping): a frame
-// the simulation never touched reads as zero and holds no host memory, so
-// building a machine costs nothing in proportion to its simulated memory. A
-// freed frame keeps its bytes until it is reused, so the coherent-memory fault
-// handler zero-fills or copies every frame it takes.
+// The backing storage is the module's slice of memory its owner provides:
+// sim::Machine maps every node's frames at once (base::AnonymousMapping), so a
+// frame the simulation never touched reads as zero and holds no host memory,
+// and building a machine costs nothing in proportion to its simulated memory.
+// A freed frame keeps its bytes until it is reused, so the coherent-memory
+// fault handler zero-fills or copies every frame it takes.
 #ifndef SRC_SIM_MEMORY_MODULE_H_
 #define SRC_SIM_MEMORY_MODULE_H_
 
@@ -20,7 +21,6 @@
 #include <optional>
 #include <vector>
 
-#include "src/base/anonymous_mapping.h"
 #include "src/base/check.h"
 #include "src/base/discipline_lock.h"
 #include "src/base/thread_annotations.h"
@@ -40,7 +40,9 @@ class MemoryModule {
     uint32_t probes = 0;
   };
 
-  MemoryModule(int node, const MachineParams& params);
+  // `frames` holds the module's frames_per_module * page_size_bytes bytes;
+  // the caller owns it and keeps it for the module's lifetime.
+  MemoryModule(int node, const MachineParams& params, uint8_t* frames);
 
   int node() const { return node_; }
   uint32_t num_frames() const { return num_frames_; }
@@ -63,11 +65,11 @@ class MemoryModule {
   // Raw backing storage of a frame (page_size bytes).
   uint8_t* FrameData(uint32_t frame) {
     PLAT_CHECK_LT(frame, num_frames_);
-    return static_cast<uint8_t*>(data_.data()) + static_cast<size_t>(frame) * page_size_;
+    return frames_ + static_cast<size_t>(frame) * page_size_;
   }
   const uint8_t* FrameData(uint32_t frame) const {
     PLAT_CHECK_LT(frame, num_frames_);
-    return static_cast<uint8_t*>(data_.data()) + static_cast<size_t>(frame) * page_size_;
+    return frames_ + static_cast<size_t>(frame) * page_size_;
   }
   // One 32-bit word of a frame's backing storage, `word` words into it.
   uint32_t ReadWord(uint32_t frame, uint32_t word) const {
@@ -102,7 +104,7 @@ class MemoryModule {
   base::DisciplineLock table_lock_;
   std::vector<SlotState> slot_state_ GUARDED_BY(table_lock_);
   std::vector<uint32_t> slot_cpage_ GUARDED_BY(table_lock_);
-  base::AnonymousMapping data_;
+  uint8_t* const frames_;
   uint32_t free_frames_ GUARDED_BY(table_lock_);
 };
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/test_util.h"
+
 namespace platinum::mem {
 namespace {
 
@@ -18,15 +20,33 @@ TEST(CmapTest, EntriesStartUnbound) {
 
 TEST(CmapTest, PmapsAreLazyAndPrivate) {
   Cmap cmap(0, 8);
-  EXPECT_FALSE(cmap.has_pmap(2));
+  EXPECT_EQ(cmap.find_pmap(2), nullptr);
   hw::Pmap& pmap2 = cmap.pmap(2);
-  EXPECT_TRUE(cmap.has_pmap(2));
-  EXPECT_FALSE(cmap.has_pmap(3));
+  EXPECT_EQ(cmap.find_pmap(2), &pmap2);
+  EXPECT_EQ(cmap.find_pmap(3), nullptr);
   pmap2.Enter(1, 0, 5, hw::Rights::kRead);
   // Another processor's Pmap is a distinct object (the key Section 3.1
   // design decision).
   EXPECT_FALSE(cmap.pmap(3).entry(1).valid);
   EXPECT_TRUE(cmap.pmap(2).entry(1).valid);
+}
+
+// A Pmap takes host memory only for the pages of entries its processor has
+// translated: 64 processors entering one translation each into a 2^18-page
+// space (2 MB of entries per Pmap) make about one host page each resident.
+TEST(CmapTest, PmapsHoldOnlyTheEntriesTheyTranslate) {
+  constexpr uint32_t kPages = 1u << 18;
+  Cmap cmap(0, kPages);
+  const long before = test::ResidentKb();
+  ASSERT_GT(before, 0);
+  for (int p = 0; p < sim::kMaxProcessors; ++p) {
+    uint32_t vpn = static_cast<uint32_t>(p) * (kPages / sim::kMaxProcessors);
+    cmap.pmap(p).Enter(vpn, static_cast<int16_t>(p), 1, hw::Rights::kRead);
+    EXPECT_TRUE(cmap.pmap(p).entry(vpn).valid);
+  }
+  const long added = test::ResidentKb() - before;
+  EXPECT_LT(added, 16 * 1024) << "64 Pmaps of one translation each made " << added
+                              << " kB resident";
 }
 
 TEST(CmapTest, ActivationCensusIsCounted) {

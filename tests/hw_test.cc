@@ -1,6 +1,10 @@
 // Unit tests for the MMU layer: Pmap and ATC.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <cstring>
+
 #include "src/hw/atc.h"
 #include "src/hw/pmap.h"
 #include "src/hw/rights.h"
@@ -52,6 +56,27 @@ TEST(PmapTest, EnterReplacesTranslation) {
   EXPECT_EQ(pmap.entry(1).module, 2);
   EXPECT_EQ(pmap.entry(1).frame, 9u);
   EXPECT_EQ(pmap.entry(1).rights, Rights::kReadWrite);
+}
+
+std::array<uint8_t, sizeof(PmapEntry)> BytesOf(const PmapEntry& entry) {
+  std::array<uint8_t, sizeof(PmapEntry)> bytes;
+  std::memcpy(bytes.data(), &entry, sizeof(PmapEntry));
+  return bytes;
+}
+
+// All zero bytes is the one "no translation" value: an untouched entry holds
+// it, and taking a translation away writes it back.
+TEST(PmapTest, NoTranslationIsAllZeroBytes) {
+  EXPECT_EQ(BytesOf(PmapEntry{}), (std::array<uint8_t, sizeof(PmapEntry)>{}));
+  Pmap pmap(4);
+  const PmapEntry& untouched = pmap.entry(3);
+  EXPECT_EQ(BytesOf(untouched), BytesOf(PmapEntry{}));
+  pmap.Enter(1, /*module=*/2, /*frame=*/9, Rights::kReadWrite);
+  pmap.Remove(1);
+  EXPECT_EQ(BytesOf(pmap.entry(1)), BytesOf(untouched));
+  pmap.Enter(2, /*module=*/2, /*frame=*/9, Rights::kRead);
+  pmap.Restrict(2, Rights::kNone);
+  EXPECT_EQ(BytesOf(pmap.entry(2)), BytesOf(untouched));
 }
 
 TEST(AtcTest, FillLookupFlush) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <vector>
 
 #include "src/obs/histogram.h"
 #include "src/sim/params.h"
@@ -15,8 +16,10 @@ class InterconnectTest : public ::testing::Test {
  protected:
   InterconnectTest() : params_(ButterflyPlusParams(4)), obs_(4) {
     params_.frames_per_module = 8;
+    const size_t module_bytes = size_t{params_.frames_per_module} * params_.page_size_bytes;
+    frames_.resize(4 * module_bytes);
     for (int i = 0; i < 4; ++i) {
-      modules_.emplace_back(i, params_);
+      modules_.emplace_back(i, params_, frames_.data() + i * module_bytes);
     }
     net_ = std::make_unique<Interconnect>(params_, &modules_, &obs_);
   }
@@ -66,6 +69,7 @@ class InterconnectTest : public ::testing::Test {
   }
 
   MachineParams params_;
+  std::vector<uint8_t> frames_;  // the modules' frames, owned by the test
   std::vector<MemoryModule> modules_;
   obs::Observability obs_;
   std::unique_ptr<Interconnect> net_;
