@@ -169,19 +169,17 @@ SortResult RunMergeSortUma(uma::UmaMachine& machine, const SortConfig& config) {
           barrier_state.Set(0, 0);
           barrier_state.Set(1, waiting_for);
         } else {
-          sim::SimTime backoff = 2 * sim::kMicrosecond;
+          rt::SpinBackoff backoff;
           while (barrier_state.Get(1) != waiting_for) {
-            sched.Sleep(backoff);
-            backoff = std::min<sim::SimTime>(backoff * 2, 64 * sim::kMicrosecond);
+            sched.Sleep(backoff.Next());
           }
         }
       };
       env.signal = [&](int t) { done.FetchAdd(static_cast<size_t>(t), 1); };
       env.await = [&](int t, uint32_t v) {
-        sim::SimTime backoff = 2 * sim::kMicrosecond;
+        rt::SpinBackoff backoff;
         while (done.Get(static_cast<size_t>(t)) < v) {
-          sched.Sleep(backoff);
-          backoff = std::min<sim::SimTime>(backoff * 2, 64 * sim::kMicrosecond);
+          sched.Sleep(backoff.Next());
         }
       };
       env.compute = [&] { sched.Advance(config.compute_per_element_ns); };

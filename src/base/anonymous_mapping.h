@@ -4,7 +4,7 @@
 // first time each page is touched, so a mapping of simulated memory costs no
 // set-up work and no resident memory beyond what the simulation uses. It
 // holds the machine's frames, the UMA machine's shared memory, each fiber
-// stack and each Pmap's entries.
+// stack, and each address space's Cmap entries with its Pmaps' entries.
 // MAP_NORESERVE keeps untouched pages out of the commit charge, except on
 // hosts with strict overcommit (vm.overcommit_memory=2), which charge the
 // whole mapping as an allocation of the same size would.

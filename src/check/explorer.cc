@@ -109,10 +109,8 @@ std::string Abstract(System& sys, const ExplorerConfig& config) {
       out << (cpage.HasCopyOn(m) ? '1' : '0');
     }
     for (int p = 0; p < config.processors; ++p) {
-      const hw::Pmap* pmap = cm.find_pmap(p);
-      const hw::PmapEntry pe =
-          pmap != nullptr ? pmap->entry(static_cast<uint32_t>(page)) : hw::PmapEntry{};
-      out << (!pe.valid ? 'n' : pe.rights == hw::Rights::kReadWrite ? 'w' : 'r');
+      hw::Rights rights = cm.pmap(p).entry(static_cast<uint32_t>(page)).rights;
+      out << (rights == hw::Rights::kNone ? 'n' : rights == hw::Rights::kReadWrite ? 'w' : 'r');
     }
     out << ';';
   }

@@ -11,8 +11,8 @@ Atc::Atc(uint32_t num_entries) : slots_(num_entries), mask_(num_entries - 1) {
 
 void Atc::FlushPage(uint32_t as_id, uint32_t vpn) {
   Slot& slot = slots_[IndexOf(vpn)];
-  if (slot.valid && slot.as_id == as_id && slot.vpn == vpn) {
-    slot.valid = false;
+  if (slot.as_id == as_id && slot.vpn == vpn) {
+    slot.entry.rights = Rights::kNone;
   }
 }
 

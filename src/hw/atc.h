@@ -22,16 +22,15 @@ class Atc {
   // Returns the cached translation for (as_id, vpn), or nullptr on miss.
   const PmapEntry* Lookup(uint32_t as_id, uint32_t vpn) const {
     const Slot& slot = slots_[IndexOf(vpn)];
-    if (slot.valid && slot.as_id == as_id && slot.vpn == vpn) {
+    if (slot.entry.rights != Rights::kNone && slot.as_id == as_id && slot.vpn == vpn) {
       return &slot.entry;
     }
     return nullptr;
   }
   // Installs a translation, evicting whatever shared its slot.
   void Fill(uint32_t as_id, uint32_t vpn, const PmapEntry& entry) {
-    PLAT_CHECK(entry.valid);
+    PLAT_CHECK(entry.rights != Rights::kNone);
     Slot& slot = slots_[IndexOf(vpn)];
-    slot.valid = true;
     slot.as_id = as_id;
     slot.vpn = vpn;
     slot.entry = entry;
@@ -40,8 +39,8 @@ class Atc {
   void FlushPage(uint32_t as_id, uint32_t vpn);
 
  private:
+  // A slot whose entry has no rights is empty.
   struct Slot {
-    bool valid = false;
     uint32_t as_id = 0;
     uint32_t vpn = 0;
     PmapEntry entry;

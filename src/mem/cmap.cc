@@ -4,12 +4,19 @@
 
 namespace platinum::mem {
 
-Cmap::Cmap(uint32_t as_id, uint32_t num_pages)
-    : as_id_(as_id), num_pages_(num_pages), entries_(num_pages) {}
-
-hw::Pmap& Cmap::CreatePmap(int processor) {
-  pmaps_[processor] = std::make_unique<hw::Pmap>(num_pages_);
-  return *pmaps_[processor];
+Cmap::Cmap(uint32_t as_id, uint32_t num_pages, int num_processors)
+    : as_id_(as_id),
+      num_pages_(num_pages),
+      mapping_(size_t{num_pages} *
+               (sizeof(CmapEntry) + static_cast<size_t>(num_processors) * sizeof(hw::PmapEntry))),
+      entries_(static_cast<CmapEntry*>(mapping_.data()), num_pages) {
+  PLAT_CHECK_GT(num_processors, 0);
+  PLAT_CHECK_LE(num_processors, sim::kMaxProcessors);
+  auto* pmap_entries = reinterpret_cast<hw::PmapEntry*>(entries_.data() + num_pages);
+  pmaps_.reserve(static_cast<size_t>(num_processors));
+  for (int p = 0; p < num_processors; ++p) {
+    pmaps_.emplace_back(std::span(pmap_entries + size_t{num_pages} * p, num_pages));
+  }
 }
 
 void Cmap::Activate(int processor) {

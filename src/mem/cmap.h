@@ -2,36 +2,42 @@
 //
 // A Cmap caches the composition of the virtual-memory layer's mappings
 // (virtual address -> memory object -> coherent page) as a table of Cmap
-// entries, keeps a *separate, private* Pmap for each processor using the
-// address space (the key NUMA design decision of Section 3.1), records which
+// entries, keeps a *separate, private* Pmap for each processor of the
+// machine (the key NUMA design decision of Section 3.1), records which
 // processors currently have the space active, and carries the queue of Cmap
 // messages through which shootdowns are distributed.
+//
+// One base::AnonymousMapping holds the Cmap entries and then every
+// processor's Pmap entries. An entry of zero bytes is unbound or holds no
+// translation, so the host supplies memory only for the pages of entries a
+// program has bound or a processor has translated.
 #ifndef SRC_MEM_CMAP_H_
 #define SRC_MEM_CMAP_H_
 
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <string>
+#include <span>
+#include <vector>
 
+#include "src/base/anonymous_mapping.h"
 #include "src/base/check.h"
 #include "src/hw/pmap.h"
 #include "src/hw/rights.h"
-#include "src/mem/cpage.h"
 #include "src/sim/params.h"
 
 namespace platinum::mem {
 
 // Analogous to a page table entry: coherent page, the access rights granted
 // by the virtual memory system, and the reference mask of processors holding
-// a virtual-to-physical translation for this page.
+// a virtual-to-physical translation for this page. `rights == kNone` is the
+// one unbound value.
 struct CmapEntry {
-  uint32_t cpage = kInvalidCpageId;
+  uint32_t cpage = 0;
   hw::Rights rights = hw::Rights::kNone;
   uint64_t reference_mask = 0;
 
-  bool bound() const { return cpage != kInvalidCpageId; }
+  bool bound() const { return rights != hw::Rights::kNone; }
 };
 
 // Describes a change to the address space that restricts existing
@@ -48,7 +54,8 @@ struct CmapMessage {
 
 class Cmap {
  public:
-  Cmap(uint32_t as_id, uint32_t num_pages);
+  // A space of `num_pages` pages with a Pmap for each of `num_processors`.
+  Cmap(uint32_t as_id, uint32_t num_pages, int num_processors);
 
   uint32_t as_id() const { return as_id_; }
   uint32_t num_pages() const { return num_pages_; }
@@ -63,20 +70,17 @@ class Cmap {
     return entries_[vpn];
   }
 
-  // The processor's private Pmap for this space, created on first use.
+  // The processor's private Pmap for this space. Inline: the Pmap refill
+  // after every ATC miss reads it.
   hw::Pmap& pmap(int processor) {
     PLAT_CHECK_GE(processor, 0);
-    PLAT_CHECK_LT(processor, sim::kMaxProcessors);
-    if (pmaps_[processor] == nullptr) [[unlikely]] {
-      return CreatePmap(processor);
-    }
-    return *pmaps_[processor];
+    PLAT_CHECK_LT(processor, static_cast<int>(pmaps_.size()));
+    return pmaps_[processor];
   }
-  // The processor's Pmap for this space, or nullptr if it has none yet.
-  const hw::Pmap* find_pmap(int processor) const {
+  const hw::Pmap& pmap(int processor) const {
     PLAT_CHECK_GE(processor, 0);
-    PLAT_CHECK_LT(processor, sim::kMaxProcessors);
-    return pmaps_[processor].get();
+    PLAT_CHECK_LT(processor, static_cast<int>(pmaps_.size()));
+    return pmaps_[processor];
   }
 
   // Activation census: a processor is "active" in the space while it runs (or
@@ -99,15 +103,14 @@ class Cmap {
   int AcknowledgeMessages(int processor);
 
  private:
-  hw::Pmap& CreatePmap(int processor);
-
   const uint32_t as_id_;
   const uint32_t num_pages_;
-  std::vector<CmapEntry> entries_;
+  base::AnonymousMapping mapping_;
+  std::span<CmapEntry> entries_;
+  std::vector<hw::Pmap> pmaps_;
   std::deque<CmapMessage> messages_;
   uint64_t active_mask_ = 0;
   std::array<uint32_t, sim::kMaxProcessors> activation_count_{};
-  std::array<std::unique_ptr<hw::Pmap>, sim::kMaxProcessors> pmaps_;
 };
 
 }  // namespace platinum::mem

@@ -38,7 +38,7 @@ hw::ProcessorMmu& CoherentMemory::mmu(int processor) {
 
 uint32_t CoherentMemory::RegisterAddressSpace(uint32_t num_pages) {
   uint32_t as_id = static_cast<uint32_t>(cmaps_.size());
-  cmaps_.push_back(std::make_unique<Cmap>(as_id, num_pages));
+  cmaps_.push_back(std::make_unique<Cmap>(as_id, num_pages, machine_->num_nodes()));
   return as_id;
 }
 
@@ -56,34 +56,24 @@ void CoherentMemory::BindPage(uint32_t as_id, uint32_t vpn, uint32_t cpage, hw::
 }
 
 void CoherentMemory::UnbindPage(uint32_t as_id, uint32_t vpn) {
-  Cmap& cm = cmap(as_id);
-  CmapEntry& entry = cm.entry(vpn);
+  CmapEntry& entry = cmap(as_id).entry(vpn);
   PLAT_CHECK(entry.bound());
   Cpage& page = cpages_.at(entry.cpage);
+  // Unbind can run outside any fiber (address-space teardown from the host
+  // harness), where there is no current processor to attribute.
+  const int initiator = machine_->scheduler().current_processor_or(-1);
 
-  // Tear down every translation this space holds for the page.
-  for (int p = 0; p < machine_->num_nodes(); ++p) {
-    if (((entry.reference_mask >> p) & 1) == 0) {
-      continue;
-    }
-    hw::Pmap& pmap = cm.pmap(p);
-    const hw::PmapEntry& pe = pmap.entry(vpn);
-    PLAT_CHECK(pe.valid);
-    if (pe.rights == hw::Rights::kReadWrite) {
-      page.DropWriteMapping();
-    }
-    pmap.Remove(vpn);
-    mmus_[p].atc().FlushPage(as_id, vpn);
+  // Take away the translations of this binding only; a binding that holds
+  // none has nothing to wait for.
+  if (entry.reference_mask != 0) {
+    const CpageMapper binding{as_id, vpn};
+    TakeAway(page, Release::kAllMappings, initiator, /*modules=*/{}, &binding);
   }
-  entry.reference_mask = 0;
   if (page.state() == CpageState::kModified && page.write_mappings() == 0) {
     page.SetState(CpageState::kPresent1);  // protocol: unbind-downgrade modified -> present1
   }
   page.RemoveMapper(as_id, vpn);
-  // Unbind can run outside any fiber (address-space teardown from the host
-  // harness), where there is no current processor to attribute.
-  Trace(TraceEventType::kUnbind, page.id(), machine_->scheduler().current_processor_or(-1),
-        as_id);
+  Trace(TraceEventType::kUnbind, page.id(), initiator, as_id);
   entry = CmapEntry{};
   NotifyTransition(ProtocolTrigger::kUnbind);
 }
@@ -106,8 +96,7 @@ void CoherentMemory::EnterMapping(Cmap& cm, CmapEntry& entry, Cpage& page, uint3
   PLAT_CHECK(rights != hw::Rights::kNone);
   PLAT_CHECK(page.HasCopyOn(copy.module));
   hw::Pmap& pmap = cm.pmap(processor);
-  const hw::PmapEntry& old_entry = pmap.entry(vpn);
-  if (old_entry.valid && old_entry.rights == hw::Rights::kReadWrite) {
+  if (pmap.entry(vpn).rights == hw::Rights::kReadWrite) {
     page.DropWriteMapping();
   }
   pmap.Enter(vpn, copy.module, copy.frame, rights);
@@ -138,7 +127,7 @@ CoherentMemory::AccessResult CoherentMemory::AccessFault(uint32_t as_id, uint32_
   // One post-fault Pmap read (the handler may have replaced the entry, so the
   // pre-fault reference cannot be reused).
   const hw::PmapEntry& resolved = cmap(as_id).pmap(processor).entry(vpn);
-  PLAT_CHECK(resolved.valid && Allows(resolved.rights, needed))
+  PLAT_CHECK(Allows(resolved.rights, needed))
       << "fault handler left no usable translation for vpn " << vpn;
   // EnterMapping refreshed this processor's ATC at the end of the fault, but a
   // conflicting fill during the handler can have evicted it again.
@@ -251,11 +240,9 @@ void CoherentMemory::CheckInvariants() const {
       const Cpage& page = cpages_.at(entry.cpage);
       for (int p = 0; p < machine_->num_nodes(); ++p) {
         bool referenced = (entry.reference_mask >> p) & 1;
-        // A processor without a Pmap holds no translation.
-        const hw::Pmap* pmap = cm->find_pmap(p);
-        const hw::PmapEntry pe = pmap != nullptr ? pmap->entry(vpn) : hw::PmapEntry{};
-        bool has_translation = pe.valid;
-        if (pe.valid) {
+        const hw::PmapEntry& pe = std::as_const(*cm).pmap(p).entry(vpn);
+        bool has_translation = pe.rights != hw::Rights::kNone;
+        if (has_translation) {
           PLAT_CHECK(page.HasCopyOn(pe.module))
               << "pmap of cpu " << p << " maps vpn " << vpn << " to module " << pe.module
               << " which holds no copy of cpage " << entry.cpage;

@@ -87,7 +87,9 @@ class CoherentMemory {
   uint32_t CreateCpage(int home_module = -1);
   // Binds `vpn` of address space `as_id` to `cpage` with VM-level `rights`.
   void BindPage(uint32_t as_id, uint32_t vpn, uint32_t cpage, hw::Rights rights);
-  // Removes the binding, its translations everywhere, and the mapper record.
+  // Removes the binding, its translations everywhere (through TakeAway, so
+  // the caller pays a shootdown round or a lease wait), and the mapper
+  // record.
   void UnbindPage(uint32_t as_id, uint32_t vpn);
 
   // Activation census used to limit shootdown IPIs (Section 3.1). Called by
@@ -127,7 +129,7 @@ class CoherentMemory {
       // rights were too weak to be used.
       ++machine_->stats(processor).atc_misses;
       const hw::PmapEntry& pe = cmap(as_id).pmap(processor).entry(vpn);
-      if (!pe.valid || !Allows(pe.rights, needed)) [[unlikely]] {
+      if (!Allows(pe.rights, needed)) [[unlikely]] {
         return AccessFault(as_id, vpn, word_offset, kind, write_value, allow_yield, needed,
                            processor);
       }
@@ -227,15 +229,16 @@ class CoherentMemory {
   // translations to every other copy, frees those copies and sets present1.
   // Returns the number of translations taken away.
   uint32_t Collapse(Cpage& page, int keep_module, int initiator);
-  // The engine behind both and behind the migrate, thaw and pin-migrate
-  // paths (kAllMappings), which set the state themselves. Asks the protocol
-  // whether to run a shootdown round or to scrub after a lease wait and runs
-  // the walker (kCopyMappings: once per module in `modules`, all in one
-  // round, so the initiator pays the setup charge once). When it took a
-  // translation away, it commits the round or traces the lease expiry.
-  // Returns the translations changed.
+  // The engine behind both and behind the migrate, thaw, pin-migrate and
+  // unbind paths (kAllMappings), which set the state themselves. Asks the
+  // protocol whether to run a shootdown round or to scrub after a lease wait
+  // and runs the walker (kCopyMappings: once per module in `modules`, all in
+  // one round, so the initiator pays the setup charge once). A non-null
+  // `only` limits the invalidating walker to that one binding of the page.
+  // When it took a translation away, it commits the round or traces the
+  // lease expiry. Returns the translations changed.
   uint32_t TakeAway(Cpage& page, Release release, int initiator,
-                    const std::vector<int>& modules = {});
+                    const std::vector<int>& modules = {}, const CpageMapper* only = nullptr);
   // One walker per kind of change, shared by shootdown rounds and lease
   // scrubs. In a round, each posts the Cmap messages and adds the active
   // processors whose translations it changed to `interrupted`, the round's
@@ -248,9 +251,9 @@ class CoherentMemory {
   // Downgrades every write mapping of `page` to read-only.
   uint32_t RestrictCpageToRead(Cpage& page, int initiator, uint64_t* interrupted);
   // Removes every translation to `page`'s copy on `module` (module < 0: to
-  // every copy).
+  // every copy), through every binding of the page or only through `only`.
   uint32_t InvalidateMappingsToCopy(Cpage& page, int module, int initiator,
-                                    uint64_t* interrupted);
+                                    uint64_t* interrupted, const CpageMapper* only);
   // Counts a round that took translations away, charges the initiator for
   // its IPIs and bills handler time to the `interrupted` processors.
   void CommitShootdown(const Cpage& page, uint64_t interrupted, int initiator);

@@ -19,8 +19,6 @@
 
 namespace platinum::mem {
 
-inline constexpr uint32_t kInvalidCpageId = UINT32_MAX;
-
 // Protocol states, Section 3.2.
 enum class CpageState : uint8_t {
   kEmpty,        // no physical pages back the Cpage
@@ -52,6 +50,8 @@ struct PhysicalCopy {
 struct CpageMapper {
   uint32_t as_id = 0;
   uint32_t vpn = 0;
+
+  bool operator==(const CpageMapper&) const = default;
 };
 
 // Per-page counters: the "detailed report on the behavior of memory

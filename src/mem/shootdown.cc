@@ -28,17 +28,17 @@
 namespace platinum::mem {
 
 uint32_t CoherentMemory::TakeAway(Cpage& page, Release release, int initiator,
-                                  const std::vector<int>& modules) {
+                                  const std::vector<int>& modules, const CpageMapper* only) {
   uint64_t interrupted = 0;
   uint64_t* round = protocol_->AwaitRelease(page, release) ? nullptr : &interrupted;
   uint32_t taken = 0;
   if (release == Release::kWriteRights) {
     taken = RestrictCpageToRead(page, initiator, round);
   } else if (release == Release::kAllMappings) {
-    taken = InvalidateMappingsToCopy(page, /*module=*/-1, initiator, round);
+    taken = InvalidateMappingsToCopy(page, /*module=*/-1, initiator, round, only);
   } else {
     for (int module : modules) {
-      taken += InvalidateMappingsToCopy(page, module, initiator, round);
+      taken += InvalidateMappingsToCopy(page, module, initiator, round, only);
     }
   }
   if (taken == 0) {
@@ -85,11 +85,11 @@ uint32_t CoherentMemory::RestrictCpageToRead(Cpage& page, int initiator,
       }
       hw::Pmap& pmap = cm.pmap(p);
       const hw::PmapEntry& pe = pmap.entry(mapper.vpn);
-      PLAT_CHECK(pe.valid) << "reference mask bit without translation";
+      PLAT_CHECK(pe.rights != hw::Rights::kNone) << "reference mask bit without translation";
       if (pe.rights != hw::Rights::kReadWrite) {
         continue;
       }
-      pmap.Restrict(mapper.vpn, hw::Rights::kRead);
+      pmap.RestrictToRead(mapper.vpn);
       page.DropWriteMapping();
       mmus_[p].atc().FlushPage(mapper.as_id, mapper.vpn);
       changed |= uint64_t{1} << p;
@@ -114,9 +114,12 @@ uint32_t CoherentMemory::RestrictCpageToRead(Cpage& page, int initiator,
 }
 
 uint32_t CoherentMemory::InvalidateMappingsToCopy(Cpage& page, int module, int initiator,
-                                                  uint64_t* interrupted) {
+                                                  uint64_t* interrupted, const CpageMapper* only) {
   uint32_t invalidated = 0;
   for (const CpageMapper& mapper : page.mappers()) {
+    if (only != nullptr && mapper != *only) {
+      continue;
+    }
     Cmap& cm = cmap(mapper.as_id);
     CmapEntry& entry = cm.entry(mapper.vpn);
     uint64_t changed = 0;
@@ -126,7 +129,7 @@ uint32_t CoherentMemory::InvalidateMappingsToCopy(Cpage& page, int module, int i
       }
       hw::Pmap& pmap = cm.pmap(p);
       const hw::PmapEntry& pe = pmap.entry(mapper.vpn);
-      PLAT_CHECK(pe.valid) << "reference mask bit without translation";
+      PLAT_CHECK(pe.rights != hw::Rights::kNone) << "reference mask bit without translation";
       if (module >= 0 && pe.module != module) {
         continue;
       }

@@ -128,34 +128,24 @@ void PageTrace::UpdateDetectors(PageRollup& r, const mem::TraceEvent& event) {
   }
 }
 
-std::vector<uint32_t> PageTrace::FlaggedPingPong() const {
+std::vector<uint32_t> PageTrace::Flagged(Detector detector) const {
   std::vector<uint32_t> out;
   for (uint32_t id = 0; id < rollups_.size(); ++id) {
-    if (rollups_[id].events > 0 && IsPingPong(rollups_[id])) {
+    if (rollups_[id].events > 0 && (this->*detector)(rollups_[id])) {
       out.push_back(id);
     }
   }
   return out;
 }
 
+std::vector<uint32_t> PageTrace::FlaggedPingPong() const { return Flagged(&PageTrace::IsPingPong); }
+
 std::vector<uint32_t> PageTrace::FlaggedFreezeChurn() const {
-  std::vector<uint32_t> out;
-  for (uint32_t id = 0; id < rollups_.size(); ++id) {
-    if (rollups_[id].events > 0 && IsFreezeChurn(rollups_[id])) {
-      out.push_back(id);
-    }
-  }
-  return out;
+  return Flagged(&PageTrace::IsFreezeChurn);
 }
 
 std::vector<uint32_t> PageTrace::FlaggedReplicationWaste() const {
-  std::vector<uint32_t> out;
-  for (uint32_t id = 0; id < rollups_.size(); ++id) {
-    if (rollups_[id].events > 0 && IsReplicationWaste(rollups_[id])) {
-      out.push_back(id);
-    }
-  }
-  return out;
+  return Flagged(&PageTrace::IsReplicationWaste);
 }
 
 std::vector<uint32_t> PageTrace::TopPages() const {

@@ -130,6 +130,9 @@ class PageTrace : public mem::PageEventSink {
   std::string ToJson() const;
 
  private:
+  // The ids of tracked pages that `detector` flags, ascending.
+  using Detector = bool (PageTrace::*)(const PageRollup&) const;
+  std::vector<uint32_t> Flagged(Detector detector) const;
   PageRollup* RollupFor(uint32_t cpage);
   void UpdateDetectors(PageRollup& r, const mem::TraceEvent& event);
   // Top-K page ids by (faults desc, events desc, id asc).

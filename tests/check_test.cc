@@ -124,6 +124,33 @@ TEST(RaceDetectorTest, SequentialRunsAreOrderedByHostContext) {
   EXPECT_EQ(detector.races_found(), 0u);
 }
 
+// Joining a thread orders what it did before the joiner's later accesses:
+// a thread that reads the word its child wrote is clean after JoinThread,
+// and the same read after a sleep long enough for the child to finish is a
+// race.
+TEST(RaceDetectorTest, JoinOrdersTheChildBeforeTheJoiner) {
+  for (bool join : {true, false}) {
+    TestSystem sys(2);
+    auto* space = sys.kernel.CreateAddressSpace("join");
+    rt::ZoneAllocator zone(&sys.kernel, space);
+    auto shared = rt::SharedArray<uint32_t>::Create(zone, "join-word", 1);
+
+    check::RaceDetector& detector = sys.kernel.EnableRaceDetection();
+    RunInThread(sys.kernel, space, 0, [&] {
+      kernel::Thread* child =
+          sys.kernel.SpawnThread(space, 1, "child", [&] { shared.Set(0, 7); });
+      if (join) {
+        sys.kernel.JoinThread(child);
+      } else {
+        sys.machine.scheduler().Sleep(50 * sim::kMillisecond);
+      }
+      EXPECT_EQ(shared.Get(0), 7u);
+    });
+
+    EXPECT_EQ(detector.races_found(), join ? 0u : 1u) << (join ? "joined" : "slept");
+  }
+}
+
 TEST(RaceDetectorTest, IntentionalSharingIsSuppressed) {
   TestSystem sys(4);
   auto* space = sys.kernel.CreateAddressSpace("chaotic");

@@ -1,4 +1,4 @@
-// Unit tests for the Cmap: entries, activation census, message queue.
+// Unit tests for the Cmap: entries, Pmaps, activation census, message queue.
 #include "src/mem/cmap.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,7 @@ namespace platinum::mem {
 namespace {
 
 TEST(CmapTest, EntriesStartUnbound) {
-  Cmap cmap(3, 16);
+  Cmap cmap(3, 16, 4);
   EXPECT_EQ(cmap.as_id(), 3u);
   EXPECT_EQ(cmap.num_pages(), 16u);
   for (uint32_t vpn = 0; vpn < 16; ++vpn) {
@@ -18,17 +18,33 @@ TEST(CmapTest, EntriesStartUnbound) {
   }
 }
 
-TEST(CmapTest, PmapsAreLazyAndPrivate) {
-  Cmap cmap(0, 8);
-  EXPECT_EQ(cmap.find_pmap(2), nullptr);
-  hw::Pmap& pmap2 = cmap.pmap(2);
-  EXPECT_EQ(cmap.find_pmap(2), &pmap2);
-  EXPECT_EQ(cmap.find_pmap(3), nullptr);
-  pmap2.Enter(1, 0, 5, hw::Rights::kRead);
-  // Another processor's Pmap is a distinct object (the key Section 3.1
+TEST(CmapTest, PmapsArePrivate) {
+  Cmap cmap(0, 8, 4);
+  cmap.pmap(2).Enter(1, 0, 5, hw::Rights::kRead);
+  // Another processor's Pmap is a distinct table (the key Section 3.1
   // design decision).
-  EXPECT_FALSE(cmap.pmap(3).entry(1).valid);
-  EXPECT_TRUE(cmap.pmap(2).entry(1).valid);
+  EXPECT_EQ(cmap.pmap(3).entry(1).rights, hw::Rights::kNone);
+  EXPECT_EQ(cmap.pmap(2).entry(1).rights, hw::Rights::kRead);
+  EXPECT_FALSE(cmap.entry(1).bound()) << "a Pmap entry is not a Cmap entry";
+}
+
+TEST(CmapDeathTest, PmapOfAProcessorBeyondTheMachineAborts) {
+  Cmap cmap(0, 8, 4);
+  EXPECT_DEATH(cmap.pmap(4), "processor");
+}
+
+// A Cmap's entries and all its Pmaps share one mapping that the host fills
+// on first touch, so building one writes none of them: a 2^18-page space
+// for 64 processors (4 MB of Cmap entries, 128 MB of Pmap entries) adds
+// well under 1 MB resident.
+TEST(CmapTest, ConstructionTouchesNoEntries) {
+  constexpr uint32_t kPages = 1u << 18;
+  const long before = test::ResidentKb();
+  ASSERT_GT(before, 0);
+  Cmap cmap(0, kPages, sim::kMaxProcessors);
+  const long added = test::ResidentKb() - before;
+  EXPECT_LT(added, 1024) << "a 2^18-page Cmap made " << added << " kB resident";
+  EXPECT_FALSE(cmap.entry(kPages - 1).bound());
 }
 
 // A Pmap takes host memory only for the pages of entries its processor has
@@ -36,13 +52,13 @@ TEST(CmapTest, PmapsAreLazyAndPrivate) {
 // space (2 MB of entries per Pmap) make about one host page each resident.
 TEST(CmapTest, PmapsHoldOnlyTheEntriesTheyTranslate) {
   constexpr uint32_t kPages = 1u << 18;
-  Cmap cmap(0, kPages);
+  Cmap cmap(0, kPages, sim::kMaxProcessors);
   const long before = test::ResidentKb();
   ASSERT_GT(before, 0);
   for (int p = 0; p < sim::kMaxProcessors; ++p) {
     uint32_t vpn = static_cast<uint32_t>(p) * (kPages / sim::kMaxProcessors);
     cmap.pmap(p).Enter(vpn, static_cast<int16_t>(p), 1, hw::Rights::kRead);
-    EXPECT_TRUE(cmap.pmap(p).entry(vpn).valid);
+    EXPECT_EQ(cmap.pmap(p).entry(vpn).rights, hw::Rights::kRead);
   }
   const long added = test::ResidentKb() - before;
   EXPECT_LT(added, 16 * 1024) << "64 Pmaps of one translation each made " << added
@@ -50,7 +66,7 @@ TEST(CmapTest, PmapsHoldOnlyTheEntriesTheyTranslate) {
 }
 
 TEST(CmapTest, ActivationCensusIsCounted) {
-  Cmap cmap(0, 8);
+  Cmap cmap(0, 8, 4);
   EXPECT_FALSE(cmap.IsActive(1));
   cmap.Activate(1);
   cmap.Activate(1);  // two threads of this space on processor 1
@@ -63,7 +79,7 @@ TEST(CmapTest, ActivationCensusIsCounted) {
 }
 
 TEST(CmapTest, MessagesRetireWhenAllTargetsAcknowledge) {
-  Cmap cmap(0, 8);
+  Cmap cmap(0, 8, 4);
   cmap.PostMessage(CmapMessage{4, CmapMessage::Directive::kInvalidate, 0b0110});
   cmap.PostMessage(CmapMessage{5, CmapMessage::Directive::kRestrictToRead, 0b0010});
   ASSERT_EQ(cmap.messages().size(), 2u);
@@ -79,7 +95,7 @@ TEST(CmapTest, MessagesRetireWhenAllTargetsAcknowledge) {
 }
 
 TEST(CmapTest, FullyAppliedMessagesAreNotQueued) {
-  Cmap cmap(0, 8);
+  Cmap cmap(0, 8, 4);
   cmap.PostMessage(CmapMessage{4, CmapMessage::Directive::kInvalidate, 0});
   EXPECT_TRUE(cmap.messages().empty());
 }

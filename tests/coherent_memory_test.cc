@@ -440,9 +440,7 @@ class FaultBranchTest : public CoherentMemoryTest,
   // The rights `processor` holds on `arr`'s page (kNone without a translation).
   hw::Rights RightsOn(int processor, const rt::SharedArray<uint32_t>& arr) {
     uint32_t vpn = arr.base_va() / sys_.kernel.page_size();
-    const hw::PmapEntry& pe =
-        sys_.kernel.memory().cmap(space_->id()).pmap(processor).entry(vpn);
-    return pe.valid ? pe.rights : hw::Rights::kNone;
+    return sys_.kernel.memory().cmap(space_->id()).pmap(processor).entry(vpn).rights;
   }
 
   size_t Events(mem::TraceEventType type) {
@@ -837,6 +835,86 @@ TEST_P(FaultBranchTest, ThawOfAnUnmappedPageTakesNothingAway) {
   EXPECT_EQ(sys_.machine.stats().shootdowns, 0u);
   EXPECT_EQ(Events(mem::TraceEventType::kShootdown), 0u);
   EXPECT_EQ(Events(mem::TraceEventType::kLeaseExpire), 0u);
+}
+
+// An unmap takes its binding's translations from the other processors the
+// way every other transition does: one shootdown round that interrupts the
+// three active holders under the directory protocol, a wait on their live
+// read lease and a scrub under Tardis. Processor 3 unmaps 20 us after the
+// last read completed and holds no translation itself.
+TEST_P(FaultBranchTest, UnmapTakesAwayTheBindingsTranslations) {
+  uint32_t id;
+  auto arr = NewPage("p", &id);
+  const uint32_t vpn = arr.base_va() / sys_.kernel.page_size();
+  int reads = 0;
+  SimTime last_read = 0;
+  SimTime unmap_ns = -1;
+  auto read_and_stay_active = [&] {
+    EXPECT_EQ(arr.Get(0), 0u);
+    ++reads;
+    last_read = std::max(last_read, sys_.kernel.Now());
+    sys_.machine.scheduler().Sleep(30 * kMillisecond);
+  };
+  At(0, 0, read_and_stay_active);
+  At(1, 2 * kMillisecond, read_and_stay_active);
+  At(2, 4 * kMillisecond, read_and_stay_active);
+  At(3, 0, [&] {
+    while (reads < 3) {
+      sys_.machine.scheduler().Sleep(10 * kMicrosecond);
+    }
+    sys_.machine.scheduler().Sleep(last_read + 20 * kMicrosecond - sys_.kernel.Now());
+    const SimTime start = sys_.kernel.Now();
+    sys_.kernel.Unmap(space_, vpn, 1);
+    unmap_ns = sys_.kernel.Now() - start;
+  });
+  RunAndCheck();
+  EXPECT_TRUE(page(id).mappers().empty());
+  for (int p = 0; p < 3; ++p) {
+    EXPECT_EQ(RightsOn(p, arr), hw::Rights::kNone) << "processor " << p;
+  }
+  const sim::MachineStats& stats = sys_.machine.stats();
+  EXPECT_EQ(stats.mappings_invalidated, 3u);
+  EXPECT_EQ(Events(mem::TraceEventType::kUnbind), 1u);
+  if (directory()) {
+    const sim::MachineParams& params = sys_.machine.params();
+    EXPECT_EQ(stats.shootdowns, 1u);
+    EXPECT_EQ(stats.ipis_sent, 3u);
+    EXPECT_EQ(stats.lease_waits, 0u);
+    EXPECT_EQ(unmap_ns, params.shootdown_setup_ns + 3 * params.shootdown_per_processor_ns);
+    EXPECT_EQ(unmap_ns, 221 * kMicrosecond);
+  } else {
+    EXPECT_EQ(stats.shootdowns, 0u);
+    EXPECT_EQ(stats.ipis_sent, 0u);
+    EXPECT_EQ(stats.lease_waits, 1u);
+    EXPECT_EQ(Events(mem::TraceEventType::kLeaseExpire), 1u);
+    // The rest of the 50 us read lease, then the scrub's bookkeeping.
+    EXPECT_GT(unmap_ns, 20 * kMicrosecond);
+  }
+}
+
+// An unmap leaves the translations of the page's other bindings alone: with
+// one page bound at vpns 100, 200 and 300, unmapping 100 keeps processor 1's
+// translation through 200. Unmapping 300, which holds no translation, takes
+// nothing away and waits for nothing, even inside the page's read lease.
+TEST_P(FaultBranchTest, UnmapKeepsTheOtherBindingsTranslations) {
+  auto* object = sys_.kernel.CreateMemoryObject("shared", 1);
+  for (uint32_t vpn : {100u, 200u, 300u}) {
+    sys_.kernel.Map(space_, object, 0, 1, vpn, hw::Rights::kReadWrite);
+  }
+  const uint32_t page_size = sys_.kernel.page_size();
+  At(1, 0, [&] {
+    sys_.kernel.ReadWord(space_, 100 * page_size);
+    sys_.kernel.ReadWord(space_, 200 * page_size);
+    const SimTime start = sys_.kernel.Now();
+    sys_.kernel.Unmap(space_, 300, 1);
+    EXPECT_EQ(sys_.kernel.Now(), start);
+    sys_.kernel.Unmap(space_, 100, 1);
+  });
+  RunAndCheck();
+  const mem::Cmap& cm = sys_.kernel.memory().cmap(space_->id());
+  EXPECT_EQ(cm.pmap(1).entry(100).rights, hw::Rights::kNone);
+  EXPECT_EQ(cm.pmap(1).entry(200).rights, hw::Rights::kRead);
+  EXPECT_EQ(page(object->cpage(0)).mappers().size(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, FaultBranchTest, ::testing::Values("directory", "tardis"),
